@@ -285,6 +285,24 @@ def random_hermitian(d, seed, scale=1.0):
     return scale * (g + g.conj().T) / 2.0
 
 
+def hermitian_basis(d):
+    """Real-linear basis of the d x d Hermitian matrices, shape (d*d, d, d).
+
+    The diagonal units E_kk come first, then for each i < j (row-major) the
+    pair E_ij + E_ji, i E_ij - i E_ji, so ``tensordot(params, basis, 1)``
+    puts params[k] on the diagonal and params[re] + i params[im] at (i, j).
+    """
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    k = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            basis[k, i, j] = basis[k, j, i] = 1.0
+            basis[k + 1, i, j], basis[k + 1, j, i] = 1j, -1j
+            k += 2
+    return basis
+
+
 def schmidt_coefficients(vector, dims):
     """Schmidt coefficients (descending singular values) of a bipartite vector."""
     da, db = dims
@@ -303,26 +321,9 @@ def schmidt_split(vector, dims):
     da, db = dims
     v = np.asarray(vector, dtype=complex).reshape(da, db)
     left, _, right = np.linalg.svd(v)
+    # v = left diag(s) right, so the dominant term is outer(left[:, 0], right[0, :])
     return (_canonical_vector_phase(left[:, 0]),
-            _canonical_vector_phase(right[0, :].conj()))
-
-
-def product_residuals(vector, dims):
-    """All 2x2 minors of the (da, db) reshaping of a bipartite vector.
-
-    Every minor vanishes exactly when the state is a product state; the
-    vector of minors is a smooth (polynomial) function of the amplitudes,
-    which makes it a good least-squares residual.
-    """
-    da, db = dims
-    m = np.asarray(vector, dtype=complex).reshape(da, db)
-    rows = np.triu_indices(da, k=1)
-    cols = np.triu_indices(db, k=1)
-    out = []
-    for i, k in zip(*rows):
-        for j, l in zip(*cols):
-            out.append(m[i, j] * m[k, l] - m[i, l] * m[k, j])
-    return np.asarray(out, dtype=complex)
+            _canonical_vector_phase(right[0, :]))
 
 
 def gram_schmidt_basis(seeds, dim):

@@ -9,7 +9,10 @@ Dispatch follows the locality classes of the pair:
   box directions, product input) is synthesized directly by seeded
   least-squares over the layer group, with residuals enforcing (a) a
   product state after every run on every entangling branch and (b)
-  orthogonal marginals for the measuring party.  Synthesizing the flat list
+  orthogonal marginals for the measuring party.  The solver gets the exact
+  Jacobian of these residuals (layer derivatives by the Daleckii-Krein
+  formula, carried through the runs on d x d state matrices), not a
+  finite-difference one.  Synthesizing the flat list
   instead of composing nested circuit wrappers keeps the per-run product
   invariant checkable and true, which a literal expansion of compiled
   words into runs would generically violate.
@@ -29,8 +32,8 @@ import scipy.optimize
 from .arc import TWO_PI
 from .compiler import CanonicalXXTarget, compile_word, evaluate_word
 from .core import (DEFAULT_TOLERANCES, PureState, Tolerances, UnitaryOperator,
-                   basis_state, gram_schmidt_basis, phase_distance,
-                   product_residuals, random_unitary, schmidt_split, state)
+                   basis_state, gram_schmidt_basis, hermitian_basis,
+                   phase_distance, random_unitary, schmidt_split, state)
 from .exceptions import (CompileFailed, DimensionMismatch, OperatorsEqual,
                          SynthesisFailed, ValidationError)
 from .locality import (IMPRIMITIVE, PRODUCT_LOCAL, SWAP_LOCAL,
@@ -45,24 +48,6 @@ from .verifier import outcome_probabilities, simulate, verify
 _X2_RETRIES = 32
 _SYNTH_DEPTHS = (1, 2, 3, 4, 5, 6, 8)
 _SYNTH_RESTARTS = 6
-
-
-def _expi_hermitian(h):
-    """exp(i h) for Hermitian h via an exact eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def _hermitian(params, d):
-    h = np.zeros((d, d), dtype=complex)
-    k = d
-    h[np.diag_indices(d)] = params[:d]
-    for i in range(d):
-        for j in range(i + 1, d):
-            h[i, j] = params[k] + 1j * params[k + 1]
-            h[j, i] = params[k] - 1j * params[k + 1]
-            k += 2
-    return h
 
 
 def _measurement_plan(out_u, out_v, dims, tol):
@@ -286,98 +271,173 @@ def _case_iii_label(u, v, tol, seed, max_boxes):
     return CASE_IIIB_SCALED, f"f(V) canonical with x={x:.6f}"
 
 
+class _SynthesisProblem:
+    """Residuals of one synthesis shape (depth, directions, party) and their
+    exact Jacobian.
+
+    Parameters: (re, im) of Alice's and of Bob's unnormalized input, then
+    per run the coordinates of H_A and H_B in ``hermitian_basis(d)``; the
+    run's local layer is exp(i H_A) (x) exp(i H_B).  States stay d x d
+    matrices S (amplitude of |i>|j> at S[i, j]), so a run maps S to
+    box @ vec(A S B^T) and no Kronecker product is formed.  Residuals, as
+    real then imaginary parts: the 2x2 minors of every post-run state on
+    each entangling branch (zero iff product), then the marginal-overlap
+    block of the measuring party (zero iff its final marginals are
+    orthogonal).
+    """
+
+    def __init__(self, d, mu, mv, chains, pattern, party):
+        self.d, self.n, self.party, self.chains = d, len(pattern), party, chains
+        self.basis = hermitian_basis(d)
+        self.unit = np.concatenate([np.eye(d), 1j * np.eye(d)])
+        self.boxes = [[m if p == FORWARD else m.conj().T for p in pattern]
+                      for m in (mu, mv)]
+        rows = np.triu_indices(d, k=1)
+        i, k = rows[0][:, None], rows[1][:, None]
+        j, l = rows[0][None, :], rows[1][None, :]
+        # flat indices of the four entries of each minor S[i,j] S[k,l] - S[i,l] S[k,j]
+        self.minors = [(x * d + y).ravel() for x, y in ((i, j), (k, l), (i, l), (k, j))]
+        self.n_params = 4 * d + 2 * self.n * d * d
+        n_minors = sum(chains) * self.n * len(self.minors[0])
+        self.n_residuals = 2 * (n_minors + d * d)
+
+    def inputs(self, params):
+        """Normalized (alice, bob) inputs with their (2d, d) derivatives,
+        or None when an input is too short to normalize."""
+        d = self.d
+        out = []
+        for raw in (params[:2 * d], params[2 * d:4 * d]):
+            vec = raw[:d] + 1j * raw[d:]
+            norm = np.linalg.norm(vec)
+            if norm < 1e-6:
+                return None
+            vec = vec / norm
+            out.append((vec, (self.unit - np.outer(raw / norm, vec)) / norm))
+        return out
+
+    def layer(self, coords, derivative=False):
+        """exp(i H) for H = coords . basis, and its (d*d, d, d) derivative."""
+        w, v = np.linalg.eigh(np.tensordot(coords, self.basis, axes=1))
+        vh = v.conj().T
+        op = (v * np.exp(1j * w)) @ vh
+        if not derivative:
+            return op, None
+        # Daleckii-Krein: d exp(iH)[E] = V ((V^dag E V) o G) V^dag, G the
+        # divided differences of e^{iw}, written to stay exact at ties
+        gap = 0.5 * (w[:, None] - w[None, :])
+        g = 1j * np.exp(0.5j * (w[:, None] + w[None, :])) * np.sinc(gap / np.pi)
+        return op, v @ ((vh @ self.basis @ v) * g) @ vh
+
+    def layers(self, params, derivative=False):
+        n_h = self.d * self.d
+        return [self.layer(params[o:o + n_h], derivative)
+                for o in range(4 * self.d, self.n_params, n_h)]
+
+    def _minors(self, s, ds):
+        s, i_j, k_l, i_l, k_j = s.reshape(-1), *self.minors
+        z = s[i_j] * s[k_l] - s[i_l] * s[k_j]
+        if ds is None:
+            return z, None
+        ds = ds.reshape(ds.shape[0], -1)
+        dz = (ds[:, i_j] * s[k_l] + s[i_j] * ds[:, k_l]
+              - ds[:, i_l] * s[k_j] - s[i_l] * ds[:, k_j])
+        return z, dz
+
+    def _evaluate(self, params, jacobian):
+        """Complex residuals z and, with ``jacobian``, dz as (n_params, len z)."""
+        d, n_h, n_p = self.d, self.d * self.d, self.n_params
+        inputs = self.inputs(params)
+        if inputs is None:
+            return None, None
+        (a, da), (b, db) = inputs
+        layers = self.layers(params, jacobian)
+        parts, dparts, finals = [], [], []
+        for chain, boxes in zip(self.chains, self.boxes):
+            s, ds = np.outer(a, b), None
+            if jacobian:
+                ds = np.zeros((n_p, d, d), dtype=complex)
+                ds[:2 * d] = da[:, :, None] * b
+                ds[2 * d:4 * d] = a[:, None] * db[:, None, :]
+            for r, box in enumerate(boxes):
+                (la, dla), (lb, dlb) = layers[2 * r], layers[2 * r + 1]
+                sb = s @ lb.T
+                if jacobian:
+                    dt = la @ ds @ lb.T
+                    off = 4 * d + 2 * r * n_h
+                    dt[off:off + n_h] += dla @ sb
+                    dt[off + n_h:off + 2 * n_h] += (la @ s) @ dlb.transpose(0, 2, 1)
+                    ds = (dt.reshape(n_p, n_h) @ box.T).reshape(n_p, d, d)
+                s = (box @ (la @ sb).reshape(-1)).reshape(d, d)
+                if chain:
+                    z, dz = self._minors(s, ds)
+                    parts.append(z)
+                    dparts.append(dz)
+            finals.append((s, ds))
+        (m_u, dm_u), (m_v, dm_v) = finals
+        if self.party == ALICE:
+            parts.append((m_v.conj().T @ m_u).reshape(-1))   # ~ <a_v|a_u> outer(b)
+            if jacobian:
+                dparts.append((dm_v.conj().transpose(0, 2, 1) @ m_u
+                               + m_v.conj().T @ dm_u).reshape(n_p, -1))
+        else:
+            parts.append((m_v @ m_u.conj().T).reshape(-1))   # ~ <b_u|b_v>* outer(a)
+            if jacobian:
+                dparts.append((dm_v @ m_u.conj().T
+                               + m_v @ dm_u.conj().transpose(0, 2, 1)).reshape(n_p, -1))
+        z = np.concatenate(parts)
+        return z, (np.concatenate(dparts, axis=1) if jacobian else None)
+
+    def residual(self, params):
+        z, _ = self._evaluate(params, False)
+        if z is None:
+            return np.full(self.n_residuals, 1e3)
+        return np.concatenate([z.real, z.imag])
+
+    def jacobian(self, params):
+        _, dz = self._evaluate(params, True)
+        if dz is None:
+            return np.zeros((self.n_residuals, self.n_params))
+        return np.concatenate([dz.real, dz.imag], axis=1).T
+
+
+def _direction_patterns(n):
+    """Box directions tried at depth n: all forward, then alternating."""
+    alternating = tuple(FORWARD if i % 2 == 0 else REVERSE for i in range(n))
+    return [(FORWARD,) * n] + ([alternating] if n >= 2 else [])
+
+
 def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
     """Direct synthesis of the flat run list for entangling pairs.
 
-    Least-squares over (product input, per-run local layers) with smooth
-    residuals: 2x2 minors of every post-run state on entangling branches
-    (zero iff product) and the bilinear marginal-overlap block of the
-    measuring party (zero iff that party's outputs are orthogonal).
+    Seeded least-squares with the exact Jacobian over (product input,
+    per-run local layers); see :class:`_SynthesisProblem` for the residuals.
     """
     d = u.dims[0]
-    mu, mv = u.matrix, v.matrix
-    chain_u = cu.kind == IMPRIMITIVE
-    chain_v = cv.kind == IMPRIMITIVE
-    n_h = d * d
+    chains = (cu.kind == IMPRIMITIVE, cv.kind == IMPRIMITIVE)
     best = (np.inf, None)
-
-    def simulate(params, n, pattern):
-        a_vec = params[:2 * d][:d] + 1j * params[:2 * d][d:]
-        b_vec = params[2 * d:4 * d][:d] + 1j * params[2 * d:4 * d][d:]
-        na, nb = np.linalg.norm(a_vec), np.linalg.norm(b_vec)
-        if na < 1e-6 or nb < 1e-6:
-            return None
-        a_vec, b_vec = a_vec / na, b_vec / nb
-        layers = []
-        off = 4 * d
-        for r in range(n):
-            ha = _hermitian(params[off + 2 * r * n_h: off + (2 * r + 1) * n_h], d)
-            hb = _hermitian(params[off + (2 * r + 1) * n_h: off + (2 * r + 2) * n_h], d)
-            layers.append((_expi_hermitian(ha), _expi_hermitian(hb)))
-        s_u = s_v = np.kron(a_vec, b_vec)
-        states_u, states_v = [], []
-        for r in range(n):
-            loc = np.kron(layers[r][0], layers[r][1])
-            bu = mu if pattern[r] == FORWARD else mu.conj().T
-            bv = mv if pattern[r] == FORWARD else mv.conj().T
-            s_u = bu @ (loc @ s_u)
-            s_v = bv @ (loc @ s_v)
-            states_u.append(s_u)
-            states_v.append(s_v)
-        return a_vec, b_vec, layers, states_u, states_v
-
-    def residual(params, n, pattern, party):
-        sim = simulate(params, n, pattern)
-        if sim is None:
-            return np.full(res_len(n), 1e3)
-        _, _, _, states_u, states_v = sim
-        parts = []
-        if chain_u:
-            for s in states_u:
-                parts.append(product_residuals(s, (d, d)))
-        if chain_v:
-            for s in states_v:
-                parts.append(product_residuals(s, (d, d)))
-        m_u = states_u[-1].reshape(d, d)
-        m_v = states_v[-1].reshape(d, d)
-        if party == ALICE:
-            block = m_v.conj().T @ m_u      # ~ <a_v|a_u> * outer(b)
-        else:
-            block = m_v @ m_u.conj().T      # ~ <b_u|b_v>* scaled outer(a)
-        parts.append(block.reshape(-1))
-        z = np.concatenate(parts)
-        return np.concatenate([z.real, z.imag])
-
-    n_minors = (d * (d - 1) // 2) ** 2
-
-    def res_len(n):
-        chains = (int(chain_u) + int(chain_v)) * n * n_minors
-        return 2 * (chains + d * d)
 
     rng = np.random.default_rng(seed)
     depths = [n for n in _SYNTH_DEPTHS if n <= max_boxes]
     for n in depths:
-        patterns = [(FORWARD,) * n]
-        if n >= 2:
-            patterns.append(tuple(FORWARD if i % 2 == 0 else REVERSE
-                                  for i in range(n)))
-        n_params = 4 * d + 2 * n * n_h
-        for pattern in patterns:
+        for pattern in _direction_patterns(n):
             for party in (ALICE, BOB):
+                problem = _SynthesisProblem(d, u.matrix, v.matrix, chains,
+                                            pattern, party)
                 for restart in range(_SYNTH_RESTARTS):
-                    p0 = rng.standard_normal(n_params)
+                    p0 = rng.standard_normal(problem.n_params)
                     res = scipy.optimize.least_squares(
-                        residual, p0, args=(n, pattern, party), method="trf",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=260)
+                        problem.residual, p0, jac=problem.jacobian,
+                        method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                        max_nfev=260)
                     err = float(np.max(np.abs(res.fun)))
                     if err < best[0]:
                         best = (err, None)
                     if err > 1e-8:
                         continue
-                    sim = simulate(res.x, n, pattern)
-                    a_vec, b_vec, layers, _, _ = sim
-                    runs = [Run(layers[r][0], layers[r][1], pattern[r])
-                            for r in range(n)]
+                    (a_vec, _), (b_vec, _) = problem.inputs(res.x)
+                    ops = [op for op, _ in problem.layers(res.x)]
+                    runs = [Run(ops[2 * r], ops[2 * r + 1], box)
+                            for r, box in enumerate(pattern)]
                     proto = _finalize(label, runs, PureState(a_vec, (d,)),
                                       PureState(b_vec, (d,)), u, v, tol,
                                       notes=notes)

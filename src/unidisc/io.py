@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from . import __version__
-from .core import PureState, Tolerances, UnitaryOperator
+from .core import PureState, UnitaryOperator
 from .exceptions import ParseError, ValidationError
 from .protocol import LoccProtocol, MeasurementPlan, Run
 from .sequential import SequentialScheme
@@ -97,10 +97,6 @@ def save_operator(path, op):
 def tolerances_to_json(tol):
     return {"unitarity": tol.unitarity, "orthogonality": tol.orthogonality,
             "classification": tol.classification, "compile": tol.compile}
-
-
-def tolerances_from_json(data):
-    return Tolerances(**{k: float(v) for k, v in data.items()})
 
 
 def report_to_json(report):

@@ -24,7 +24,7 @@ import scipy.optimize
 
 from .arc import _arc_of_phases, theta, zero_hull_state
 from .core import (DEFAULT_TOLERANCES, PureState, TWO_PI, UnitaryOperator,
-                   phase_distance, unitary_eig)
+                   hermitian_basis, phase_distance, unitary_eig)
 from .exceptions import DimensionMismatch, OperatorsEqual, SynthesisFailed
 
 _CEIL_NUDGE = 1e-9  # protects exact ratios like pi / (pi/3) from float drift
@@ -154,11 +154,12 @@ def _joint_synthesis(u, v, n, tol, seed, restarts, warm_aux):
     """Least-squares fallback over all aux operations and the input state."""
     dim = u.matrix.shape[0]
     n_h = dim * dim
+    basis = hermitian_basis(dim)
 
     def unpack(params):
         xs = []
         for k in range(n):
-            h = _hermitian_from_params(params[k * n_h:(k + 1) * n_h], dim)
+            h = np.tensordot(params[k * n_h:(k + 1) * n_h], basis, axes=1)
             xs.append(scipy.linalg.expm(1j * h))
         raw = params[n * n_h:]
         psi = raw[:dim] + 1j * raw[dim:]
@@ -204,29 +205,11 @@ def _joint_synthesis(u, v, n, tol, seed, restarts, warm_aux):
     return SequentialScheme(aux, PureState(psi, u.dims), overlap)
 
 
-def _hermitian_from_params(params, dim):
-    h = np.zeros((dim, dim), dtype=complex)
-    idx = 0
-    for i in range(dim):
-        h[i, i] = params[idx]
-        idx += 1
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            h[i, j] = params[idx] + 1j * params[idx + 1]
-            h[j, i] = params[idx] - 1j * params[idx + 1]
-            idx += 2
-    return h
-
-
 def _params_from_hermitian(h, dim):
-    params = []
-    for i in range(dim):
-        params.append(h[i, i].real)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            params.append(h[i, j].real)
-            params.append(h[i, j].imag)
-    return np.array(params)
+    """Coordinates of Hermitian h in ``hermitian_basis(dim)`` (its inverse)."""
+    basis = hermitian_basis(dim)
+    gram = np.einsum("kij,kij->k", basis.conj(), basis).real
+    return np.einsum("kij,ij->k", basis.conj(), h).real / gram
 
 
 def evaluate_scheme(scheme, u, v):

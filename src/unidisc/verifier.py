@@ -22,9 +22,10 @@ from .protocol import ALICE, BOB, FORWARD
 class VerificationReport:
     """Recomputed certificate for one protocol and one operator pair.
 
-    ``passed`` is exactly: overlap <= tol and schmidt_second_max <= tol
-    (orthogonality tolerance).  Measurement-plan validity is reported
-    separately in ``measurement_ok``.
+    ``passed`` is exactly: overlap <= tol, schmidt_second_max <= tol
+    (orthogonality tolerance) and ``measurement_ok``, which holds when the
+    plan names the party whose outputs separate and its outcome
+    probabilities name each hypothesis with certainty.
     """
 
     overlap: float
@@ -133,7 +134,8 @@ def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
                           and abs(p_v[idx_v] - 1.0) <= tol.orthogonality)
 
     passed = bool(overlap <= tol.orthogonality
-                  and schmidt_max <= tol.orthogonality)
+                  and schmidt_max <= tol.orthogonality
+                  and measurement_ok)
     return VerificationReport(
         overlap=overlap,
         schmidt_second_max=float(schmidt_max),

@@ -126,6 +126,25 @@ def test_cli_verify_roundtrip(opfiles, tmp_path, capsys):
     assert "matches" in text
 
 
+@pytest.mark.parametrize("corruption", ["flipped_decision", "wrong_party"])
+def test_cli_verify_fails_bad_measurement_plan(opfiles, tmp_path, capsys,
+                                               corruption):
+    out = tmp_path / "proto.json"
+    assert main(["discriminate", "--mode", "locc", opfiles["szI"],
+                 opfiles["identity"], "--out", str(out), "--quiet"]) == 0
+    data = json.loads(out.read_text())
+    meas = data["measurement"]
+    assert meas["party"] == "Alice"
+    if corruption == "flipped_decision":
+        meas["decision"] = {"0": "V", "1": "U"}
+    else:
+        meas["party"] = "Bob"
+    out.write_text(json.dumps(data))
+    code = main(["verify", str(out), opfiles["szI"], opfiles["identity"]])
+    assert code == 2
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_cli_multi(opfiles, capsys):
     code = main(["multi", opfiles["identity"], opfiles["swap"],
                  opfiles["szI"]])

@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
 from unidisc.core import (UnitaryOperator, basis_state, identity_operator,
                           random_unitary, state)
-from unidisc.engine import (build_protocol, controlled_sequential, identify,
+from unidisc.engine import (_direction_patterns, _SynthesisProblem,
+                            build_protocol, controlled_sequential, identify,
                             identity_vs_other, multi_discriminate)
 from unidisc.exceptions import OperatorsEqual, ValidationError
 from unidisc.locality import canonical_xx_operator, conjugation_set, \
     extract_canonical_xx
-from unidisc.protocol import (CASE_IA, CASE_IB, CASE_IC, CASE_IDENTITY,
-                              CASE_IIA, CASE_IIB)
-from unidisc.verifier import simulate
+from unidisc.protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC,
+                              CASE_IDENTITY, CASE_IIA, CASE_IIB)
+from unidisc.verifier import outcome_probabilities, simulate
 
 from conftest import SZ, haar_two_qudit, product_operator, swap_type_operator
 
@@ -48,11 +50,27 @@ def test_case_ia_pauli_example(eye4):
     report = proto.certificate
     assert report.passed and report.measuring_party == "Alice"
     p_u = np.array([1.0, 0.0])
-    from unidisc.verifier import outcome_probabilities
     np.testing.assert_allclose(outcome_probabilities(proto, sz_i)[:2], p_u,
                                atol=1e-9)
     np.testing.assert_allclose(outcome_probabilities(proto, eye4)[:2],
                                p_u[::-1], atol=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_case_ia_bob_side_decides_with_certainty(d):
+    # Alice's factors agree, so only Bob's marginal outputs separate
+    alice = random_unitary(d, 701).matrix
+    u = UnitaryOperator(np.kron(alice, random_unitary(d, 711).matrix), (d, d))
+    v = UnitaryOperator(np.kron(alice, random_unitary(d, 721).matrix), (d, d))
+    proto = build_protocol(u, v)
+    assert proto.case_label == CASE_IA
+    assert proto.measurement.party == BOB
+    assert proto.certificate.passed and proto.certificate.measurement_ok
+    decision = proto.measurement.decision
+    idx_u = next(k for k, h in decision.items() if h == "U")
+    idx_v = next(k for k, h in decision.items() if h == "V")
+    assert abs(outcome_probabilities(proto, u)[idx_u] - 1.0) <= 1e-9
+    assert abs(outcome_probabilities(proto, v)[idx_v] - 1.0) <= 1e-9
 
 
 def test_case_ic_swap_pair():
@@ -121,6 +139,30 @@ def test_factorized_orthogonality_and_box_accounting():
     report = proto.certificate
     assert report.measurement_ok
     assert report.box_uses == len(proto.runs) == proto.box_uses
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("case", ["IIA", "IIIA"])
+def test_synthesis_jacobian_matches_central_differences(d, case):
+    if case == "IIA":
+        u, v = product_operator(d, 1), haar_two_qudit(d, 10001)
+        chains = (False, True)
+    else:
+        u, v = haar_two_qudit(d, 11001), haar_two_qudit(d, 12001)
+        chains = (True, True)
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 3):
+        for pattern in _direction_patterns(n):
+            for party in (ALICE, BOB):
+                problem = _SynthesisProblem(d, u.matrix, v.matrix, chains,
+                                            pattern, party)
+                x = rng.standard_normal(problem.n_params)
+                exact = problem.jacobian(x)
+                numeric = approx_derivative(problem.residual, x,
+                                            method="3-point")
+                assert exact.shape == (problem.n_residuals, problem.n_params)
+                err = np.abs(exact - numeric).max() / np.abs(numeric).max()
+                assert err <= 1e-6, (n, pattern, party, err)
 
 
 def test_controlled_sequential_examples(cnot):

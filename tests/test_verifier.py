@@ -5,7 +5,8 @@ import numpy as np
 from unidisc.core import UnitaryOperator, basis_state, identity_operator, \
     state
 from unidisc.engine import build_protocol
-from unidisc.protocol import ALICE, FORWARD, LoccProtocol, MeasurementPlan, Run
+from unidisc.protocol import (ALICE, BOB, FORWARD, LoccProtocol,
+                              MeasurementPlan, Run)
 from unidisc.verifier import outcome_probabilities, simulate, verify
 
 from conftest import SZ
@@ -99,3 +100,24 @@ def test_measurement_basis_completeness(eye4, swap2):
     basis = proto.measurement.basis
     resolution = basis @ basis.conj().T
     assert np.linalg.norm(resolution - np.eye(basis.shape[0])) < 1e-10
+
+
+def _with_plan(proto, plan):
+    return LoccProtocol(proto.case_label, proto.runs, proto.input_alice,
+                        proto.input_bob, plan, notes=proto.notes)
+
+
+def test_verify_fails_flipped_decision_and_wrong_party(eye4):
+    # only Alice's marginal outputs separate for sz (x) I against I
+    sz_i = UnitaryOperator(np.kron(SZ, np.eye(2)), (2, 2))
+    proto = build_protocol(sz_i, eye4)
+    plan = proto.measurement
+    assert plan.party == ALICE and verify(proto, sz_i, eye4).passed
+    flipped = MeasurementPlan(plan.party, plan.basis, {0: "V", 1: "U"})
+    wrong_party = MeasurementPlan(BOB, plan.basis, plan.decision)
+    for bad in (flipped, wrong_party):
+        report = verify(_with_plan(proto, bad), sz_i, eye4)
+        assert report.overlap <= 1e-9 and report.schmidt_second_max <= 1e-9
+        assert not report.measurement_ok
+        assert not report.passed
+        assert report.summary().startswith("FAIL")
