@@ -12,7 +12,9 @@ optimized by cyclic polar sweeps: with all layers but one frozen the
 objective |tr(T^dag W)| is linear in the free layer, and its optimal pair
 (a, b) follows from alternating SVD polar factors.  The sweep increases the
 objective monotonically and converges to machine precision near an exact
-word.
+word.  Restarts sweep in lockstep as one stack, each with its own stopping
+rule; a sweep builds the suffix environments once and carries the prefix
+forward (O(n) products), forming a (x) b by broadcasting, not ``np.kron``.
 """
 
 from dataclasses import dataclass
@@ -24,9 +26,7 @@ from .core import (DEFAULT_TOLERANCES, UnitaryOperator, phase_distance,
                    random_unitary)
 from .exceptions import CompileFailed, DimensionMismatch, ValidationError
 from .locality import canonical_xx_matrix
-
-FORWARD = "forward"
-REVERSE = "reverse"
+from .protocol import FORWARD, REVERSE
 
 _SWEEPS = 80
 _INNER = 6
@@ -83,10 +83,6 @@ class CircuitWord:
         return sum(1 for item in self.items if isinstance(item, Box))
 
     @property
-    def layers(self):
-        return [item for item in self.items if isinstance(item, LocalLayer)]
-
-    @property
     def directions(self):
         return [item.direction for item in self.items if isinstance(item, Box)]
 
@@ -112,11 +108,8 @@ class CanonicalXXTarget:
 
 
 def controlled_form_matrix(d):
-    z = np.eye(d, dtype=complex)
-    z[0, 0] = -1.0
-    p0 = np.zeros((d, d), dtype=complex)
-    p0[0, 0] = 1.0
-    return np.kron(p0, np.eye(d)) + np.kron(np.eye(d) - p0, z)
+    p0 = np.diag(np.eye(d, dtype=complex)[0])          # |0><0|, and Z_d = I - 2 p0
+    return np.kron(p0, np.eye(d)) + np.kron(np.eye(d) - p0, np.eye(d) - 2 * p0)
 
 
 def target_matrix(target, d):
@@ -154,51 +147,53 @@ def evaluate_word(word, q):
 
 def word_adjoint(word):
     """Word evaluating to the adjoint: reversed, layers daggered, boxes flipped."""
-    items = []
-    for item in reversed(word.items):
-        items.append(item.flipped() if isinstance(item, Box) else item.dagger())
+    items = [item.flipped() if isinstance(item, Box) else item.dagger()
+             for item in reversed(word.items)]
     return CircuitWord(tuple(items), word.achieved_error)
 
 
-def _direction_patterns(n, limit):
-    patterns = sorted(iter_product((FORWARD, REVERSE), repeat=n),
-                      key=lambda p: (sum(x == REVERSE for x in p), p))
-    return patterns[:limit]
+def _direction_patterns(n):
+    return sorted(iter_product((FORWARD, REVERSE), repeat=n),
+                  key=lambda p: (sum(x == REVERSE for x in p), p))
 
 
-def _sweep_layers(layers, boxes, target, d):
-    """One cyclic pass of closed-form layer updates; returns the word matrix."""
-    n = len(boxes)
-    dim = d * d
+def _kron(a, b):
+    """a (x) b for stacks of d x d matrices, by broadcasting."""
+    r, d = a.shape[0], a.shape[-1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(r, d * d, d * d)
+
+
+def _sweep_layers(a, b, boxes, target, d):
+    """One cyclic pass of layer updates on the (R, n+1, d, d) factor stacks
+    ``a``, ``b`` (in place); returns the (R, d*d, d*d) words."""
+    count, n, dim = len(a), len(boxes), d * d
+    # right[k] = T^dag L_n Q_{n-1} ... L_{k+1} Q_k; for the prefix P before layer
+    # k and G = P right[k], tr(T^dag W) = tr(G L_k) = sum e[ik,jl] a[i,k] b[j,l]
+    right = [np.broadcast_to(target.conj().T, (count, dim, dim))]
+    for k in range(n - 1, -1, -1):
+        right.insert(0, right[0] @ _kron(a[:, k + 1], b[:, k + 1]) @ boxes[k])
+    prefix = np.eye(dim, dtype=complex)
     for idx in range(n + 1):
-        prefix = np.eye(dim, dtype=complex)
-        for k in range(idx):
-            prefix = boxes[k] @ (np.kron(layers[k][0], layers[k][1]) @ prefix)
-        # operator = suffix . L_idx . prefix, suffix applied last
-        suffix = np.eye(dim, dtype=complex)
-        for k in range(idx, n):
-            suffix = np.kron(layers[k + 1][0], layers[k + 1][1]) @ boxes[k] @ suffix
-        env = suffix.conj().T @ target @ prefix.conj().T
-        e4 = env.reshape(d, d, d, d)
-        a, b = layers[idx]
+        e = (prefix @ right[idx]).reshape(count, d, d, d, d)
+        e = e.transpose(0, 3, 1, 4, 2).reshape(count, dim, dim)  # e[ik,jl] = G[kl,ij]
+        la, lb, live = a[:, idx], b[:, idx], np.ones((count, 1, 1), dtype=bool)
         for _ in range(_INNER):
-            ga = np.einsum("ijkl,jl->ik", e4.conj(), b)
-            u, _, vh = np.linalg.svd(ga.T)
-            a_new = (vh.conj().T @ u.conj().T)
-            gb = np.einsum("ijkl,ik->jl", e4.conj(), a_new)
-            u, _, vh = np.linalg.svd(gb.T)
-            b_new = (vh.conj().T @ u.conj().T)
-            if np.linalg.norm(a_new - a) + np.linalg.norm(b_new - b) < 1e-14:
-                a, b = a_new, b_new
+            # x = conj(u vh) maximizes Re tr(g^T x) over unitaries, for g = u s vh
+            u, _, vh = np.linalg.svd((e @ lb.reshape(count, dim, 1)).reshape(count, d, d))
+            a_new = (u @ vh).conj()
+            u, _, vh = np.linalg.svd((a_new.reshape(count, 1, dim) @ e).reshape(count, d, d))
+            b_new = (u @ vh).conj()
+            step = (np.linalg.norm(a_new - la, axis=(1, 2))
+                    + np.linalg.norm(b_new - lb, axis=(1, 2)))
+            la, lb = np.where(live, a_new, la), np.where(live, b_new, lb)
+            live &= (step >= 1e-14)[:, None, None]
+            if not live.any():
                 break
-            a, b = a_new, b_new
-        layers[idx] = (a, b)
-    w = np.eye(dim, dtype=complex)
-    for k in range(n + 1):
-        w = np.kron(layers[k][0], layers[k][1]) @ w
-        if k < n:
-            w = boxes[k] @ w
-    return w
+        a[:, idx], b[:, idx] = la, lb
+        prefix = _kron(la, lb) @ prefix
+        if idx < n:
+            prefix = boxes[idx] @ prefix
+    return prefix
 
 
 def compile_word(q, target, max_boxes=None, tol=DEFAULT_TOLERANCES, seed=0,
@@ -206,10 +201,11 @@ def compile_word(q, target, max_boxes=None, tol=DEFAULT_TOLERANCES, seed=0,
     """Find a circuit word through q matching the target up to global phase.
 
     Iterative deepening on the box count n; direction patterns are searched
-    in order of increasing reverse-use count; each pattern gets seeded
-    multi-start polar-sweep optimization of the n+1 local layers.  The first
-    word whose phase distance to the target is within the compile tolerance
-    is returned.  ``box_parity="even"`` restricts n to even values.
+    in order of increasing reverse-use count; each pattern gets ``restarts``
+    seeded starts of the n+1 local layers, polar-swept in lockstep.  The
+    first restart in order whose phase distance to the target is within the
+    compile tolerance gives the word.  ``box_parity="even"`` restricts n to
+    even values.
 
     Raises
     ------
@@ -230,40 +226,44 @@ def compile_word(q, target, max_boxes=None, tol=DEFAULT_TOLERANCES, seed=0,
     depths = [n for n in range(1, max_boxes + 1)
               if box_parity != "even" or n % 2 == 0]
     for n in depths:
-        for p_idx, pattern in enumerate(_direction_patterns(n, max_patterns)):
-            boxes = [mq if direction == FORWARD else mq.conj().T
-                     for direction in pattern]
+        for p_idx, pattern in enumerate(_direction_patterns(n)[:max_patterns]):
+            boxes = np.array([mq if direction == FORWARD else mq.conj().T
+                              for direction in pattern])
+            # restart r > 0 starts layer k at the draws seeded base + 2 (r + k) (+ 1)
+            base = (seed * 1_000_003 + n * 10_007 + p_idx * 101) * 2
+            draws = np.array([[random_unitary(d, base + 2 * j + side).matrix
+                               for side in (0, 1)] for j in range(restarts + n)])
+            window = np.arange(restarts)[:, None] + np.arange(n + 1)
+            a, b = draws[window, 0], draws[window, 1]
+            a[:1] = b[:1] = np.eye(d)
+            err, prev = np.full(restarts, np.nan), np.full(restarts, -1.0)
+            live, first = np.arange(restarts), 0
+            for sweep in range(_SWEEPS):
+                la, lb = a[live], b[live]
+                w = _sweep_layers(la, lb, boxes, t_mat, d)
+                a[live], b[live] = la, lb
+                score = np.abs(np.einsum("ij,rij->r", t_mat.conj(), w))
+                done = (score - prev[live] < 1e-15) | (sweep == _SWEEPS - 1)
+                prev[live] = score
+                err[live[done]] = [phase_distance(w_r, t_mat) for w_r in w[done]]
+                live = live[~done]
+                # end once the first passing restart and all before it stopped
+                while first < restarts and err[first] > tol.compile:
+                    first += 1
+                if first == restarts or err[first] <= tol.compile:
+                    break
+            if first < restarts:
+                return _assemble_word(a[first], b[first], pattern, err[first])
             for r in range(restarts):
-                if r == 0:
-                    layers = [(np.eye(d, dtype=complex), np.eye(d, dtype=complex))
-                              for _ in range(n + 1)]
-                else:
-                    base = (seed * 1_000_003 + n * 10_007 + p_idx * 101 + r) * 2
-                    layers = [(random_unitary(d, base + 2 * k).matrix,
-                               random_unitary(d, base + 2 * k + 1).matrix)
-                              for k in range(n + 1)]
-                prev = -1.0
-                for _ in range(_SWEEPS):
-                    w = _sweep_layers(layers, boxes, t_mat, d)
-                    score = abs(np.trace(t_mat.conj().T @ w))
-                    if score - prev < 1e-15:
-                        break
-                    prev = score
-                err = phase_distance(w, t_mat)
-                if err < best_err:
-                    best_err = err
-                    best_word = _assemble_word(layers, pattern, err)
-                if err <= tol.compile:
-                    return best_word
-    raise CompileFailed(
-        f"no word within tolerance at max_boxes={max_boxes}; "
-        f"best error {best_err:.3e}",
-        best_error=float(best_err), best_word=best_word)
+                if err[r] < best_err:
+                    best_err, best_word = err[r], _assemble_word(a[r], b[r], pattern, err[r])
+    raise CompileFailed(f"no word within tolerance at max_boxes={max_boxes}; "
+                        f"best error {best_err:.3e}",
+                        best_error=float(best_err), best_word=best_word)
 
 
-def _assemble_word(layers, pattern, err):
-    items = [LocalLayer(layers[0][0].copy(), layers[0][1].copy())]
+def _assemble_word(a, b, pattern, err):
+    items = [LocalLayer(a[0].copy(), b[0].copy())]
     for k, direction in enumerate(pattern):
-        items.append(Box(direction))
-        items.append(LocalLayer(layers[k + 1][0].copy(), layers[k + 1][1].copy()))
+        items += [Box(direction), LocalLayer(a[k + 1].copy(), b[k + 1].copy())]
     return CircuitWord(tuple(items), achieved_error=float(err))

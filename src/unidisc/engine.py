@@ -300,6 +300,7 @@ class _SynthesisProblem:
         self.n_params = 4 * d + 2 * self.n * d * d
         n_minors = sum(chains) * self.n * len(self.minors[0])
         self.n_residuals = 2 * (n_minors + d * d)
+        self._point, self._eigh = None, None
 
     def inputs(self, params):
         """Normalized (alice, bob) inputs with their (2d, d) derivatives,
@@ -315,9 +316,9 @@ class _SynthesisProblem:
             out.append((vec, (self.unit - np.outer(raw / norm, vec)) / norm))
         return out
 
-    def layer(self, coords, derivative=False):
-        """exp(i H) for H = coords . basis, and its (d*d, d, d) derivative."""
-        w, v = np.linalg.eigh(np.tensordot(coords, self.basis, axes=1))
+    def layer(self, w, v, derivative=False):
+        """exp(i H) from the eigendecomposition (w, v) of H, and its
+        (d*d, d, d) derivative along the basis."""
         vh = v.conj().T
         op = (v * np.exp(1j * w)) @ vh
         if not derivative:
@@ -329,9 +330,15 @@ class _SynthesisProblem:
         return op, v @ ((vh @ self.basis @ v) * g) @ vh
 
     def layers(self, params, derivative=False):
-        n_h = self.d * self.d
-        return [self.layer(params[o:o + n_h], derivative)
-                for o in range(4 * self.d, self.n_params, n_h)]
+        """Every run's (layer, derivative); the eigendecompositions of the
+        last point are reused, so a Jacobian at the point of the preceding
+        residual does not redo them."""
+        if self._point is None or not np.array_equal(params, self._point):
+            n_h = self.d * self.d
+            self._eigh = [np.linalg.eigh(np.tensordot(params[o:o + n_h], self.basis, axes=1))
+                          for o in range(4 * self.d, self.n_params, n_h)]
+            self._point = np.array(params, copy=True)
+        return [self.layer(w, v, derivative) for w, v in self._eigh]
 
     def _minors(self, s, ds):
         s, i_j, k_l, i_l, k_j = s.reshape(-1), *self.minors

@@ -5,7 +5,8 @@ both hypothesis branches run by run, traces the second Schmidt coefficient
 after every run (the no-entanglement audit covers the whole process, not
 just the endpoints), recomputes the final overlap, and checks that the
 declared measurement plan resolves the two branch outputs with outcome
-probabilities {1, 0}.
+probabilities {1, 0}.  It first checks the protocol's own contract: every
+local operation unitary, the measurement basis complete.
 """
 
 from dataclasses import dataclass
@@ -22,10 +23,13 @@ from .protocol import ALICE, BOB, FORWARD
 class VerificationReport:
     """Recomputed certificate for one protocol and one operator pair.
 
-    ``passed`` is exactly: overlap <= tol, schmidt_second_max <= tol
-    (orthogonality tolerance) and ``measurement_ok``, which holds when the
-    plan names the party whose outputs separate and its outcome
-    probabilities name each hypothesis with certainty.
+    ``passed`` is exactly: every local operation unitary within
+    tol.unitarity, overlap <= tol, schmidt_second_max <= tol (orthogonality
+    tolerance) and ``measurement_ok``, which holds when the basis is
+    complete, the plan names a party whose outputs separate and its outcome
+    probabilities name each hypothesis with certainty.  When a local
+    operation is not unitary nothing is simulated and the numeric fields
+    are NaN.
     """
 
     overlap: float
@@ -46,6 +50,16 @@ class VerificationReport:
 
 def _box_matrix(box):
     return box.matrix if isinstance(box, UnitaryOperator) else np.asarray(box, dtype=complex)
+
+
+def _all_unitary(mats, dim, tol):
+    """Whether every matrix is dim x dim and unitary within tol.unitarity,
+    in one stacked check; NaN or infinite entries fail the comparison."""
+    if any(m.shape != (dim, dim) for m in mats):
+        return False
+    stack = np.array(mats).reshape(-1, dim, dim)
+    gram = np.swapaxes(stack.conj(), 1, 2) @ stack
+    return bool(np.all(np.linalg.norm(gram - np.eye(dim), axis=(1, 2)) <= tol.unitarity))
 
 
 def _branch_states(protocol, box_mat):
@@ -87,13 +101,22 @@ def outcome_probabilities(protocol, box):
 def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
     """Re-derive every certificate of a protocol from scratch.
 
-    Simulates both branches, traces per-run second Schmidt coefficients,
-    recomputes the final overlap, identifies the measuring party (Alice
-    checked first on ties), and validates the measurement plan.  Failures
-    are encoded in the report, never raised.
+    Checks that every local operation is unitary and the measurement basis
+    complete, simulates both branches, traces per-run second Schmidt
+    coefficients, recomputes the final overlap, identifies the measuring
+    party (the plan's party when its outputs separate, else Alice first),
+    and validates the measurement plan.  Failures are encoded in the report,
+    never raised.
     """
+    dims, plan = protocol.dims, protocol.measurement
+    if not (_all_unitary([run.alice_op for run in protocol.runs], dims[0], tol)
+            and _all_unitary([run.bob_op for run in protocol.runs], dims[1], tol)):
+        nan = float("nan")
+        return VerificationReport(
+            overlap=nan, schmidt_second_max=nan, measuring_party=plan.party,
+            box_uses=protocol.box_uses, per_run_trace=(), passed=False,
+            measurement_ok=False, norm_deviation=nan)
     mu, mv = _box_matrix(u), _box_matrix(v)
-    dims = protocol.dims
     states_u = _branch_states(protocol, mu)
     states_v = _branch_states(protocol, mv)
 
@@ -113,22 +136,19 @@ def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
 
     a_u, b_u = schmidt_split(out_u, dims)
     a_v, b_v = schmidt_split(out_v, dims)
-    alice_overlap = abs(np.vdot(a_u, a_v))
-    bob_overlap = abs(np.vdot(b_u, b_v))
-    if alice_overlap <= tol.orthogonality:
-        party = ALICE
-    elif bob_overlap <= tol.orthogonality:
-        party = BOB
-    else:
-        party = ALICE if alice_overlap <= bob_overlap else BOB
+    overlaps = {ALICE: abs(np.vdot(a_u, a_v)), BOB: abs(np.vdot(b_u, b_v))}
+    separating = [p for p in (plan.party, ALICE, BOB)
+                  if overlaps[p] <= tol.orthogonality]
+    party = separating[0] if separating else min((ALICE, BOB), key=overlaps.get)
 
-    plan = protocol.measurement
-    measurement_ok = plan.party == party
+    dim = dims[0] if plan.party == ALICE else dims[1]
+    idx_u = next((k for k, h in plan.decision.items() if h == "U"), 0)
+    idx_v = next((k for k, h in plan.decision.items() if h == "V"), 1)
+    measurement_ok = (plan.party == party and _all_unitary([plan.basis], dim, tol)
+                      and 0 <= idx_u < dim and 0 <= idx_v < dim)
     if measurement_ok:
         p_u = outcome_probabilities(protocol, u)
         p_v = outcome_probabilities(protocol, v)
-        idx_u = next((k for k, h in plan.decision.items() if h == "U"), 0)
-        idx_v = next((k for k, h in plan.decision.items() if h == "V"), 1)
         measurement_ok = (abs(p_u[idx_u] - 1.0) <= tol.orthogonality
                           and p_v[idx_u] <= tol.orthogonality
                           and abs(p_v[idx_v] - 1.0) <= tol.orthogonality)

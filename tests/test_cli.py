@@ -145,6 +145,28 @@ def test_cli_verify_fails_bad_measurement_plan(opfiles, tmp_path, capsys,
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("corruption", ["scaled_1e-6", "scaled_2", "zero_layer",
+                                        "nan_entry", "one_column_basis"])
+def test_cli_verify_fails_corrupted_layer_or_basis(opfiles, tmp_path, capsys,
+                                                   corruption):
+    out = tmp_path / "proto.json"
+    assert main(["discriminate", "--mode", "locc", opfiles["szI"],
+                 opfiles["identity"], "--out", str(out), "--quiet"]) == 0
+    data = json.loads(out.read_text())
+    first = np.array(data["runs"][0]["alice_op"], dtype=float)
+    if corruption == "one_column_basis":
+        data["measurement"]["basis"] = [row[:1] for row in data["measurement"]["basis"]]
+    elif corruption == "nan_entry":
+        first[0, 0, 0] = np.nan
+    else:
+        first *= {"scaled_1e-6": 1e-6, "scaled_2": 2.0, "zero_layer": 0.0}[corruption]
+    data["runs"][0]["alice_op"] = first.tolist()
+    out.write_text(json.dumps(data))
+    code = main(["verify", str(out), opfiles["szI"], opfiles["identity"]])
+    assert code == 2
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_cli_multi(opfiles, capsys):
     code = main(["multi", opfiles["identity"], opfiles["swap"],
                  opfiles["szI"]])

@@ -6,13 +6,15 @@ import scipy.linalg
 
 from unidisc.compiler import (Box, CanonicalXXTarget, CircuitWord,
                               ControlledFormTarget, ExactMatrix, LocalLayer,
-                              compile_word, controlled_form_matrix,
-                              evaluate_word, word_adjoint)
+                              _INNER, _sweep_layers, compile_word,
+                              controlled_form_matrix, evaluate_word,
+                              target_matrix, word_adjoint)
 from unidisc.core import UnitaryOperator, phase_distance, random_unitary
 from unidisc.exceptions import CompileFailed, ValidationError
 from unidisc.locality import PRODUCT_LOCAL, classify
 
-from conftest import HAD, SX, SZ, CZ_MAT, product_operator, swap_type_operator
+from conftest import (HAD, SX, SZ, CZ_MAT, haar_two_qudit, product_operator,
+                      swap_type_operator)
 
 
 def identity_layer(d=2):
@@ -128,6 +130,85 @@ def test_compile_failure_reports_best():
     assert info.value.best_error is not None
     assert info.value.best_error > 1e-3
     assert info.value.best_word is not None
+
+
+def test_compile_failure_best_word_is_the_best_restart():
+    # several patterns and restarts, none within tolerance: the reported word
+    # must carry the layers of the restart whose error is reported
+    weak = UnitaryOperator(scipy.linalg.expm(1j * 0.05 * np.kron(SZ, SZ)),
+                           (2, 2), tol=1e-9)
+    with pytest.raises(CompileFailed) as info:
+        compile_word(weak, ExactMatrix(CZ_MAT), max_boxes=2, restarts=5, seed=7)
+    best_word, best_error = info.value.best_word, info.value.best_error
+    assert best_word.achieved_error == best_error
+    recheck = phase_distance(evaluate_word(best_word, weak), CZ_MAT)
+    assert abs(recheck - best_error) <= 1e-12
+
+
+@pytest.mark.parametrize("s, boxes", [(0, 4), (1, 3)])
+def test_case_iii_canonical_compile_outcomes(s, boxes):
+    # the canonical-form compile behind the case-III label of the
+    # criterion-7 Haar pairs (arguments as in engine._case_iii_label)
+    q = haar_two_qudit(2, 2 * s + 11001)
+    word = compile_word(q, CanonicalXXTarget(1.0), max_boxes=4, seed=s,
+                        restarts=12, max_patterns=2)
+    assert word.directions == ["forward"] * boxes
+    assert word.achieved_error < 1e-6
+    recheck = phase_distance(evaluate_word(word, q),
+                             target_matrix(CanonicalXXTarget(1.0), 2))
+    assert abs(recheck - word.achieved_error) < 1e-12
+
+
+def _reference_sweep(layers, boxes, target, d):
+    """Single-restart sweep with explicit Kronecker products and prefix and
+    suffix rebuilt for every layer (the definition of one polar sweep)."""
+    n, dim = len(boxes), d * d
+    for idx in range(n + 1):
+        prefix, suffix = np.eye(dim), np.eye(dim)
+        for k in range(idx):
+            prefix = boxes[k] @ np.kron(*layers[k]) @ prefix
+        for k in range(idx, n):
+            suffix = np.kron(*layers[k + 1]) @ boxes[k] @ suffix
+        e4 = (suffix.conj().T @ target @ prefix.conj().T).reshape(d, d, d, d).conj()
+        a, b = layers[idx]
+        for _ in range(_INNER):
+            u, _, vh = np.linalg.svd(np.einsum("ijkl,jl->ik", e4, b).T)
+            a_new = vh.conj().T @ u.conj().T
+            u, _, vh = np.linalg.svd(np.einsum("ijkl,ik->jl", e4, a_new).T)
+            b_new = vh.conj().T @ u.conj().T
+            step = np.linalg.norm(a_new - a) + np.linalg.norm(b_new - b)
+            a, b = a_new, b_new
+            if step < 1e-14:
+                break
+        layers[idx] = (a, b)
+    w = np.eye(dim)
+    for k in range(n + 1):
+        w = np.kron(*layers[k]) @ w
+        w = boxes[k] @ w if k < n else w
+    return w
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (3, 2)])
+def test_stacked_sweep_matches_single_restart_reference(d, n):
+    q = haar_two_qudit(d, 40 + n).matrix
+    boxes = np.array([q if k % 2 == 0 else q.conj().T for k in range(n)])
+    target = target_matrix(CanonicalXXTarget(1.0), d)
+    count = 4
+    a = np.array([[random_unitary(d, 100 * r + 2 * k).matrix for k in range(n + 1)]
+                  for r in range(count)])
+    b = np.array([[random_unitary(d, 100 * r + 2 * k + 1).matrix for k in range(n + 1)]
+                  for r in range(count)])
+    a[0] = b[0] = np.eye(d)
+    reference = [[(a[r, k].copy(), b[r, k].copy()) for k in range(n + 1)]
+                 for r in range(count)]
+    for _ in range(3):
+        w = _sweep_layers(a, b, boxes, target, d)
+        for r in range(count):
+            w_ref = _reference_sweep(reference[r], boxes, target, d)
+            assert np.abs(w[r] - w_ref).max() < 1e-10
+            for k in range(n + 1):
+                assert np.abs(a[r, k] - reference[r][k][0]).max() < 1e-10
+                assert np.abs(b[r, k] - reference[r][k][1]).max() < 1e-10
 
 
 def test_compile_determinism(cnot):

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from scipy.optimize._numdiff import approx_derivative
 
-from unidisc.core import (UnitaryOperator, basis_state, identity_operator,
-                          random_unitary, state)
-from unidisc.engine import (_direction_patterns, _SynthesisProblem,
-                            build_protocol, controlled_sequential, identify,
+from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, basis_state,
+                          identity_operator, random_unitary, state)
+from unidisc.engine import (_case_iii_label, _direction_patterns,
+                            _SynthesisProblem, build_protocol,
+                            controlled_sequential, identify,
                             identity_vs_other, multi_discriminate)
 from unidisc.exceptions import OperatorsEqual, ValidationError
 from unidisc.locality import canonical_xx_operator, conjugation_set, \
     extract_canonical_xx
 from unidisc.protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC,
-                              CASE_IDENTITY, CASE_IIA, CASE_IIB)
+                              CASE_IDENTITY, CASE_IIA, CASE_IIB, FORWARD,
+                              REVERSE)
 from unidisc.verifier import outcome_probabilities, simulate
 
 from conftest import SZ, haar_two_qudit, product_operator, swap_type_operator
@@ -163,6 +165,30 @@ def test_synthesis_jacobian_matches_central_differences(d, case):
                 assert exact.shape == (problem.n_residuals, problem.n_params)
                 err = np.abs(exact - numeric).max() / np.abs(numeric).max()
                 assert err <= 1e-6, (n, pattern, party, err)
+
+
+def test_synthesis_jacobian_after_residual_reuses_layers_exactly():
+    # least_squares asks for the Jacobian at the point of its last residual;
+    # reusing that point's eigendecompositions must not change a bit
+    u, v = haar_two_qudit(2, 11001), haar_two_qudit(2, 12001)
+    args = (2, u.matrix, v.matrix, (True, True), (FORWARD, REVERSE), BOB)
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((2, _SynthesisProblem(*args).n_params))
+    want_res = _SynthesisProblem(*args).residual(x)
+    want_jac = _SynthesisProblem(*args).jacobian(x)
+    problem = _SynthesisProblem(*args)
+    assert np.array_equal(problem.residual(x), want_res)
+    assert np.array_equal(problem.jacobian(x), want_jac)
+    problem.residual(y)
+    assert np.array_equal(problem.jacobian(x), want_jac)
+    assert np.array_equal(problem.residual(x), want_res)
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_case_iii_label_of_criterion7_haar_pairs(s):
+    u, v = haar_two_qudit(2, 2 * s + 11001), haar_two_qudit(2, 2 * s + 12001)
+    assert _case_iii_label(u, v, DEFAULT_TOLERANCES, s, 8) == (
+        "IIIA", "f(V) outside the canonical family")
 
 
 def test_controlled_sequential_examples(cnot):

@@ -1,15 +1,17 @@
 """Tests for independent protocol simulation and certification."""
 
 import numpy as np
+import pytest
 
 from unidisc.core import UnitaryOperator, basis_state, identity_operator, \
     state
 from unidisc.engine import build_protocol
+from unidisc.locality import swap_operator
 from unidisc.protocol import (ALICE, BOB, FORWARD, LoccProtocol,
                               MeasurementPlan, Run)
 from unidisc.verifier import outcome_probabilities, simulate, verify
 
-from conftest import SZ
+from conftest import SZ, haar_two_qudit, product_operator
 
 
 def _plan(dim=2):
@@ -121,3 +123,60 @@ def test_verify_fails_flipped_decision_and_wrong_party(eye4):
         assert not report.measurement_ok
         assert not report.passed
         assert report.summary().startswith("FAIL")
+
+
+def test_verify_accepts_plan_party_when_both_parties_separate():
+    # identity vs swap on |0>|1>: outputs |0>|1> and |1>|0>, so both
+    # parties' marginals are orthogonal and a Bob plan decides with certainty
+    eye4, swap2 = identity_operator((2, 2)), swap_operator(2)
+    proto = build_protocol(eye4, swap2)
+    bob = _with_plan(proto, MeasurementPlan(BOB, np.array([[0, 1], [1, 0]],
+                                                          dtype=complex)))
+    np.testing.assert_allclose(outcome_probabilities(bob, eye4), [1, 0], atol=1e-12)
+    np.testing.assert_allclose(outcome_probabilities(bob, swap2), [0, 1], atol=1e-12)
+    report = verify(bob, eye4, swap2)
+    assert report.measuring_party == BOB
+    assert report.measurement_ok and report.passed
+
+
+def _corrupt(proto, kind):
+    """Copy of ``proto`` with one defect: its first Alice operation scaled,
+    zeroed or given a NaN entry, or a one-column measurement basis."""
+    runs = list(proto.runs)
+    first = runs[0].alice_op.copy()
+    if kind == "one_column_basis":
+        plan = proto.measurement
+        return _with_plan(proto, MeasurementPlan(plan.party, plan.basis[:, :1],
+                                                 plan.decision))
+    if kind == "nan_entry":
+        first[0, 0] = np.nan
+    else:
+        first = {"scaled_1e-6": 1e-6, "scaled_2": 2.0, "zero_layer": 0.0}[kind] * first
+    runs[0] = Run(first, runs[0].bob_op, runs[0].box)
+    return LoccProtocol(proto.case_label, tuple(runs), proto.input_alice,
+                        proto.input_bob, proto.measurement, notes=proto.notes)
+
+
+CORRUPTIONS = ["scaled_1e-6", "scaled_2", "zero_layer", "nan_entry",
+               "one_column_basis"]
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_verify_fails_corrupted_layers_and_bases(kind):
+    # a case-IA protocol, and a case-IIA one whose layers sit between Haar gates
+    for u, v in ((UnitaryOperator(np.kron(SZ, np.eye(2)), (2, 2)),
+                  identity_operator((2, 2))),
+                 (product_operator(2, 1), haar_two_qudit(2, 10001))):
+        proto = build_protocol(u, v)
+        assert verify(proto, u, v).passed
+        report = verify(_corrupt(proto, kind), u, v)
+        assert not report.passed and not report.measurement_ok
+        assert report.summary().startswith("FAIL")
+
+
+def test_verify_fails_decision_outside_the_basis(eye4, swap2):
+    proto = build_protocol(eye4, swap2)
+    plan = proto.measurement
+    bad = MeasurementPlan(plan.party, plan.basis, {0: "U", 7: "V"})
+    report = verify(_with_plan(proto, bad), eye4, swap2)
+    assert not report.measurement_ok and not report.passed
