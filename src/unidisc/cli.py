@@ -16,6 +16,7 @@ errors.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -26,7 +27,7 @@ from .arc import discriminating_state, theta
 from .core import Tolerances
 from .engine import build_protocol, identify, multi_discriminate
 from .exceptions import (CompileFailed, OperatorsEqual, SynthesisFailed,
-                         UnidiscError)
+                         UnidiscError, ValidationError)
 from .io import (load_operator, load_protocol, protocol_to_json,
                  scheme_to_json, tolerances_to_json, vector_to_json,
                  write_artifact)
@@ -36,7 +37,10 @@ from .sequential import SequentialScheme, evaluate_scheme, \
 from .verifier import verify
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves no state
+    in it, and building it costs milliseconds per call."""
     parser = argparse.ArgumentParser(
         prog="unidisc",
         description="construct and verify perfect-discrimination protocols "
@@ -143,15 +147,6 @@ def _cmd_classify(args):
     return 0
 
 
-def _require_locc_pair(u, v):
-    from .exceptions import ValidationError
-    for op in (u, v):
-        if len(op.dims) != 2 or op.dims[0] != op.dims[1]:
-            raise ValidationError("two-party operators require equal dimensions")
-    if u.dims != v.dims:
-        raise ValidationError("operators live on different spaces")
-
-
 def _cmd_discriminate(args):
     tol = _tolerances(args)
     seed = _seed(args)
@@ -174,7 +169,8 @@ def _cmd_discriminate(args):
                      f"overlap = {check:.3e}"],
               scheme_to_json(scheme, seed=seed, tol=tol))
         return 0
-    _require_locc_pair(u, v)
+    if u.require_two_party() != v.require_two_party():
+        raise ValidationError("operators live on different spaces")
     proto = build_protocol(u, v, tol, seed=seed, max_boxes=args.max_boxes)
     report = proto.certificate
     _emit(args, [f"case {proto.case_label}, box_uses = {proto.box_uses}",
@@ -188,7 +184,7 @@ def _cmd_multi(args):
     seed = _seed(args)
     ops = [load_operator(path, tol) for path in args.operators]
     for op in ops:
-        _require_locc_pair(op, op)
+        op.require_two_party()
     tree = multi_discriminate(ops, tol, seed=seed, max_boxes=args.max_boxes)
     lines = [f"hypotheses = {len(ops)}",
              f"distinct pairwise protocols = {len(tree.protocols)}",

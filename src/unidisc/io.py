@@ -9,6 +9,7 @@ produced them.
 """
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -38,7 +39,25 @@ def _complex_from_pair(pair, where):
     return complex(pair[0], pair[1])
 
 
+def _pairs_array(data, ndim):
+    """Complex ndim-array of nested lists of [re, im] number pairs in one
+    numpy call, or None when the data is not such a regular array (the
+    caller's per-entry walk then reports why)."""
+    try:
+        a = np.array(data)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if a.dtype.kind not in "biuf" or a.ndim != ndim + 1 or a.shape[-1] != 2:
+        return None
+    # (re, im) float64 pairs are laid out as complex128: bit-identical to
+    # complex(re, im), signed zeros and infinities included
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+
+
 def matrix_from_json(data, where="matrix"):
+    m = _pairs_array(data, 2) if isinstance(data, list) else None
+    if m is not None:
+        return m
     if not isinstance(data, list) or not data:
         raise ParseError(f"{where}: expected a nested array")
     rows = []
@@ -47,6 +66,8 @@ def matrix_from_json(data, where="matrix"):
             raise ParseError(f"{where}[{i}]: expected an array of [re, im] pairs")
         rows.append([_complex_from_pair(x, f"{where}[{i}][{j}]")
                      for j, x in enumerate(row)])
+    if len({len(row) for row in rows}) > 1:
+        raise ParseError(f"{where}: rows differ in length")
     return np.array(rows, dtype=complex)
 
 
@@ -154,13 +175,41 @@ def protocol_to_json(proto, seed=None, tol=None):
     return payload
 
 
-def protocol_from_json(data):
-    if data.get("kind") != "locc_protocol":
-        raise ParseError("not a serialized LOCC protocol (field 'kind')")
+def _runs_from_json(items):
+    """Runs of a protocol, all Alice layers decoded in one call and all Bob
+    layers in another; the per-run walk reports malformed layers."""
     try:
-        runs = tuple(Run(matrix_from_json(r["alice_op"], "runs.alice_op"),
+        alice = _pairs_array([r["alice_op"] for r in items], 3)
+        bob = _pairs_array([r["bob_op"] for r in items], 3)
+        boxes = [r["box"] for r in items]
+    except KeyError:
+        alice = bob = None
+    if alice is None or bob is None:
+        return tuple(Run(matrix_from_json(r["alice_op"], "runs.alice_op"),
                          matrix_from_json(r["bob_op"], "runs.bob_op"),
-                         r["box"]) for r in data["runs"])
+                         r["box"]) for r in items)
+    return tuple(map(Run, alice, bob, boxes))
+
+
+@contextmanager
+def _fields_of(kind):
+    """Report a missing or wrongly typed field of a ``kind`` file as a
+    ParseError, so that no structural defect escapes as a crash."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"missing {kind} field {exc}") from exc
+    except (TypeError, AttributeError, ValueError, IndexError) as exc:
+        # a field of the wrong JSON type, such as a list where an object
+        # belongs or a non-integer outcome key
+        raise ParseError(f"malformed {kind}: {type(exc).__name__}: {exc}") from exc
+
+
+def protocol_from_json(data):
+    if not isinstance(data, dict) or data.get("kind") != "locc_protocol":
+        raise ParseError("not a serialized LOCC protocol (field 'kind')")
+    with _fields_of("protocol"):
+        runs = _runs_from_json(data["runs"])
         dims = tuple(int(d) for d in data["dims"])
         alice = PureState(vector_from_json(data["input_alice"], "input_alice"),
                           (dims[0],))
@@ -172,10 +221,8 @@ def protocol_from_json(data):
             basis=matrix_from_json(meas["basis"], "measurement.basis"),
             decision={int(k): v for k, v in meas["decision"].items()})
         report = report_from_json(data["report"]) if data.get("report") else None
-    except KeyError as exc:
-        raise ParseError(f"missing protocol field {exc}") from exc
-    return LoccProtocol(data["case_label"], runs, alice, bob, plan,
-                        certificate=report, notes=data.get("notes", ""))
+        return LoccProtocol(data["case_label"], runs, alice, bob, plan,
+                            certificate=report, notes=data.get("notes", ""))
 
 
 def scheme_to_json(scheme, seed=None, tol=None):
@@ -198,11 +245,12 @@ def scheme_to_json(scheme, seed=None, tol=None):
 def scheme_from_json(data):
     if data.get("kind") != "sequential_scheme":
         raise ParseError("not a serialized sequential scheme (field 'kind')")
-    dims = tuple(int(d) for d in data["dims"])
-    aux = tuple(UnitaryOperator(matrix_from_json(m, "aux_ops"), dims, tol=1e-6)
-                for m in data["aux_ops"])
-    inp = PureState(vector_from_json(data["input"], "input"), dims)
-    return SequentialScheme(aux, inp, float(data["overlap"]))
+    with _fields_of("scheme"):
+        dims = tuple(int(d) for d in data["dims"])
+        aux = tuple(UnitaryOperator(matrix_from_json(m, "aux_ops"), dims, tol=1e-6)
+                    for m in data["aux_ops"])
+        inp = PureState(vector_from_json(data["input"], "input"), dims)
+        return SequentialScheme(aux, inp, float(data["overlap"]))
 
 
 def load_protocol(path):
@@ -213,6 +261,8 @@ def load_protocol(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object")
     if data.get("kind") == "sequential_scheme":
         return scheme_from_json(data)
     return protocol_from_json(data)

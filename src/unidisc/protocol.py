@@ -50,9 +50,6 @@ class Run:
         object.__setattr__(self, "alice_op", np.asarray(self.alice_op, dtype=complex))
         object.__setattr__(self, "bob_op", np.asarray(self.bob_op, dtype=complex))
 
-    def local_matrix(self):
-        return np.kron(self.alice_op, self.bob_op)
-
 
 @dataclass(frozen=True)
 class MeasurementPlan:
@@ -105,10 +102,6 @@ class LoccProtocol:
     @property
     def dims(self):
         return (self.input_alice.dim, self.input_bob.dim)
-
-    def input_state(self):
-        """The (product) two-qudit input state."""
-        return np.kron(self.input_alice.amplitudes, self.input_bob.amplitudes)
 
     def with_certificate(self, report):
         return LoccProtocol(self.case_label, self.runs, self.input_alice,

@@ -1,12 +1,15 @@
 """Independent simulation and certification of LOCC protocols.
 
-The verifier never trusts values cached inside a protocol: it re-simulates
-both hypothesis branches run by run, traces the second Schmidt coefficient
-after every run (the no-entanglement audit covers the whole process, not
-just the endpoints), recomputes the final overlap, and checks that the
-declared measurement plan resolves the two branch outputs with outcome
-probabilities {1, 0}.  It first checks the protocol's own contract: every
-local operation unitary, the measurement basis complete.
+The verifier never trusts values cached inside a protocol.  It first
+checks the protocol's own contract: every local operation unitary, the
+measurement basis complete.  Then one stacked pass carries both hypothesis
+branches through the runs together, with no Kronecker product, and keeps
+every post-run state.  From these it takes the second Schmidt coefficient
+after every run in one batched SVD (the no-entanglement audit covers the
+whole process, not just the endpoints), the final overlap, and the outcome
+probabilities of the declared measurement plan, which must be {1, 0}.  Its
+kernel shares no code with the engine's synthesis kernel, so a bug in one
+cannot certify the other's output.
 """
 
 from dataclasses import dataclass
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOLERANCES, PureState, UnitaryOperator, \
-    schmidt_second, schmidt_split
+    schmidt_split
 from .exceptions import DimensionMismatch
 from .protocol import ALICE, BOB, FORWARD
 
@@ -62,40 +65,53 @@ def _all_unitary(mats, dim, tol):
     return bool(np.all(np.linalg.norm(gram - np.eye(dim), axis=(1, 2)) <= tol.unitarity))
 
 
-def _branch_states(protocol, box_mat):
-    """States after every run (local layer then box application)."""
-    state = protocol.input_state()
-    if box_mat.shape[0] != state.size:
-        raise DimensionMismatch(
-            f"box dimension {box_mat.shape[0]} vs input {state.size}")
-    states = []
-    box_dag = box_mat.conj().T
-    for run in protocol.runs:
-        state = run.local_matrix() @ state
-        state = (box_mat if run.box == FORWARD else box_dag) @ state
-        states.append(state)
+def _propagate(protocol, boxes):
+    """The input and every post-run state of each branch, in one pass.
+
+    ``boxes`` holds one box matrix per branch.  All branches start from the
+    product input and travel together as a (branches, da, db) stack S
+    (amplitude of |i>|j> at S[b, i, j]), so a run maps S to box @ vec(A S B^T)
+    and no Kronecker product is formed.  Returns an (n_runs + 1, branches,
+    da, db) array whose entry 0 is the input.
+    """
+    da, db = protocol.dims
+    size = da * db
+    for box in boxes:
+        if box.shape != (size, size):
+            raise DimensionMismatch(f"box shape {box.shape} vs input dimension {size}")
+    forward = np.array(boxes)
+    reverse = forward.conj().transpose(0, 2, 1)
+    k = len(boxes)
+    states = np.empty((len(protocol.runs) + 1, k, da, db), dtype=complex)
+    states[0] = np.outer(protocol.input_alice.amplitudes, protocol.input_bob.amplitudes)
+    for r, run in enumerate(protocol.runs, 1):
+        s = run.alice_op @ states[r - 1] @ run.bob_op.T
+        box = forward if run.box == FORWARD else reverse
+        states[r] = (box @ s.reshape(k, size, 1)).reshape(k, da, db)
     return states
+
+
+def _probabilities(final, plan):
+    """Outcome probabilities of the plan's measurement on a final (da, db)
+    state matrix, normalized first."""
+    m = final / np.linalg.norm(final)
+    if plan.party == ALICE:
+        amps = plan.basis.conj().T @ m          # (outcomes, bob)
+    else:
+        amps = (m @ plan.basis.conj()).T        # (outcomes, alice)
+    return np.sum(np.abs(amps) ** 2, axis=1)
 
 
 def simulate(protocol, box):
     """Final two-qudit state of the protocol for a given black box."""
-    states = _branch_states(protocol, _box_matrix(box))
-    final = states[-1] if states else protocol.input_state()
+    final = _propagate(protocol, [_box_matrix(box)])[-1, 0].reshape(-1)
     return PureState(final / np.linalg.norm(final), protocol.dims)
 
 
 def outcome_probabilities(protocol, box):
     """Probability of each measurement outcome for a given black box."""
-    out = simulate(protocol, box).amplitudes
-    plan = protocol.measurement
-    da, db = protocol.dims
-    m = out.reshape(da, db)
-    if plan.party == ALICE:
-        amps = plan.basis.conj().T @ m          # (outcomes, bob)
-    else:
-        amps = (m @ plan.basis.conj())          # (alice, outcomes)
-        amps = amps.T
-    return np.sum(np.abs(amps) ** 2, axis=1)
+    final = _propagate(protocol, [_box_matrix(box)])[-1, 0]
+    return _probabilities(final, protocol.measurement)
 
 
 def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
@@ -116,22 +132,18 @@ def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
             overlap=nan, schmidt_second_max=nan, measuring_party=plan.party,
             box_uses=protocol.box_uses, per_run_trace=(), passed=False,
             measurement_ok=False, norm_deviation=nan)
-    mu, mv = _box_matrix(u), _box_matrix(v)
-    states_u = _branch_states(protocol, mu)
-    states_v = _branch_states(protocol, mv)
+    states = _propagate(protocol, [_box_matrix(u), _box_matrix(v)])
+    after = states[1:]                                  # (n, 2, da, db)
+    if min(dims) > 1:
+        second = np.linalg.svd(after, compute_uv=False)[..., 1]
+    else:
+        second = np.zeros(after.shape[:2])
+    trace = [(idx, branch, value) for b, branch in enumerate(("U", "V"))
+             for idx, value in enumerate(second[:, b].tolist())]
+    schmidt_max = float(second.max(initial=0.0))
+    norm_dev = float(np.abs(np.linalg.norm(after, axis=(2, 3)) - 1.0).max(initial=0.0))
 
-    trace = []
-    schmidt_max = 0.0
-    norm_dev = 0.0
-    for branch, states in (("U", states_u), ("V", states_v)):
-        for idx, state in enumerate(states):
-            s2 = schmidt_second(state, dims)
-            trace.append((idx, branch, float(s2)))
-            schmidt_max = max(schmidt_max, s2)
-            norm_dev = max(norm_dev, abs(np.linalg.norm(state) - 1.0))
-
-    out_u = states_u[-1] if states_u else protocol.input_state()
-    out_v = states_v[-1] if states_v else protocol.input_state()
+    out_u, out_v = states[-1]
     overlap = float(abs(np.vdot(out_u, out_v)))
 
     a_u, b_u = schmidt_split(out_u, dims)
@@ -147,8 +159,7 @@ def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
     measurement_ok = (plan.party == party and _all_unitary([plan.basis], dim, tol)
                       and 0 <= idx_u < dim and 0 <= idx_v < dim)
     if measurement_ok:
-        p_u = outcome_probabilities(protocol, u)
-        p_v = outcome_probabilities(protocol, v)
+        p_u, p_v = _probabilities(out_u, plan), _probabilities(out_v, plan)
         measurement_ok = (abs(p_u[idx_u] - 1.0) <= tol.orthogonality
                           and p_v[idx_u] <= tol.orthogonality
                           and abs(p_v[idx_v] - 1.0) <= tol.orthogonality)
@@ -158,11 +169,11 @@ def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
                   and measurement_ok)
     return VerificationReport(
         overlap=overlap,
-        schmidt_second_max=float(schmidt_max),
+        schmidt_second_max=schmidt_max,
         measuring_party=party,
         box_uses=protocol.box_uses,
         per_run_trace=tuple(trace),
         passed=passed,
         measurement_ok=bool(measurement_ok),
-        norm_deviation=float(norm_dev),
+        norm_deviation=norm_dev,
     )

@@ -11,8 +11,9 @@ import pytest
 from unidisc.cli import main
 from unidisc.core import UnitaryOperator, identity_operator
 from unidisc.exceptions import ParseError, ValidationError
-from unidisc.io import (dumps_artifact, load_operator, protocol_from_json,
-                        protocol_to_json, save_operator)
+from unidisc.io import (_runs_from_json, dumps_artifact, load_operator,
+                        matrix_from_json, protocol_from_json, protocol_to_json,
+                        save_operator)
 from unidisc.locality import swap_operator
 from unidisc.engine import build_protocol
 
@@ -221,3 +222,100 @@ def test_console_entry_point_usage_error():
 def test_unknown_operator_file_is_parse_error():
     code = main(["theta", "/nonexistent/file.json", "--quiet"])
     assert code == 1
+
+
+def _set_runs_scalar(data):
+    data["runs"] = 5
+
+
+def _set_run_as_list(data):
+    data["runs"][0] = [data["runs"][0]["alice_op"], data["runs"][0]["bob_op"]]
+
+
+def _set_decision_list(data):
+    data["measurement"]["decision"] = ["U", "V"]
+
+
+def _set_decision_key(data):
+    data["measurement"]["decision"] = {"x": "U", "1": "V"}
+
+
+def _set_one_dim(data):
+    data["dims"] = [2]
+
+
+@pytest.mark.parametrize("corrupt", [_set_runs_scalar, _set_run_as_list,
+                                     _set_decision_list, _set_decision_key,
+                                     _set_one_dim])
+def test_cli_verify_malformed_protocol_is_parse_error(opfiles, tmp_path,
+                                                      capsys, corrupt):
+    out = tmp_path / "proto.json"
+    assert main(["discriminate", "--mode", "locc", opfiles["identity"],
+                 opfiles["swap"], "--out", str(out), "--quiet"]) == 0
+    data = json.loads(out.read_text())
+    corrupt(data)
+    with pytest.raises(ParseError):
+        protocol_from_json(data)
+    out.write_text(json.dumps(data))
+    code = main(["verify", str(out), opfiles["identity"], opfiles["swap"]])
+    assert code == 1
+    assert "ParseError" in capsys.readouterr().err
+
+
+def test_protocol_with_zero_runs_loads():
+    data = protocol_to_json(build_protocol(identity_operator((2, 2)),
+                                           swap_operator(2)))
+    data["runs"] = []
+    assert protocol_from_json(data).runs == ()
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+def test_matrix_decode_is_bit_identical_to_per_entry_decode():
+    text = ('[[[-0.0, 0.0], [1e308, -1e308], [NaN, -0.0]],'
+            ' [[3, -7], [true, false], [9007199254740993, 0.5]],'
+            ' [[-Infinity, Infinity], [5e-324, -5e-324], [0, -0.0]]]')
+    data = json.loads(text)
+    want = np.array([[complex(re, im) for re, im in row] for row in data])
+    got = matrix_from_json(data)
+    assert got.dtype == complex and _same_bits(got, want)
+    # all layers of a protocol in one call, and per run when shapes differ
+    small = json.loads("[[[1, 0]]]")
+    for layers in ([data, data], [data, small]):
+        runs = _runs_from_json([{"alice_op": m, "bob_op": m, "box": "forward"}
+                                for m in layers])
+        for run, m in zip(runs, layers):
+            ref = np.array([[complex(re, im) for re, im in row] for row in m])
+            assert _same_bits(run.alice_op, ref) and _same_bits(run.bob_op, ref)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[[1.0, 0.0], "a"]], "matrix[0][1]: expected a [re, im] pair, got 'a'"),
+    ([[[1.0, 0.0], None]], "matrix[0][1]: expected a [re, im] pair, got None"),
+    ([[[1.0, 0.0, 2.0]]], "matrix[0][0]: expected a [re, im] pair, got [1.0, 0.0, 2.0]"),
+    ([[[1.0, 0.0], [1.0]]], "matrix[0][1]: expected a [re, im] pair, got [1.0]"),
+    ([[[1, 0]], [[1, 0], [0, 1]]], "matrix: rows differ in length"),
+])
+def test_matrix_decode_errors(bad, message):
+    with pytest.raises(ParseError) as info:
+        matrix_from_json(bad)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "sequential_scheme"},
+    {"kind": "sequential_scheme", "dims": 5, "aux_ops": [], "input": [],
+     "overlap": 0.0},
+    [1, 2],
+])
+def test_cli_verify_malformed_scheme_or_top_level_is_parse_error(
+        opfiles, tmp_path, capsys, payload):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(payload))
+    code = main(["verify", str(path), opfiles["I2"], opfiles["rot60"]])
+    assert code == 1
+    assert "ParseError" in capsys.readouterr().err

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from unidisc.core import UnitaryOperator, basis_state, identity_operator, \
-    state
-from unidisc.engine import build_protocol
+    random_unitary, state
+from unidisc.engine import _SynthesisProblem, build_protocol
+from unidisc.exceptions import DimensionMismatch
 from unidisc.locality import swap_operator
-from unidisc.protocol import (ALICE, BOB, FORWARD, LoccProtocol,
+from unidisc.protocol import (ALICE, BOB, FORWARD, REVERSE, LoccProtocol,
                               MeasurementPlan, Run)
-from unidisc.verifier import outcome_probabilities, simulate, verify
+from unidisc.verifier import _propagate, outcome_probabilities, simulate, verify
 
 from conftest import SZ, haar_two_qudit, product_operator
 
@@ -180,3 +181,50 @@ def test_verify_fails_decision_outside_the_basis(eye4, swap2):
     bad = MeasurementPlan(plan.party, plan.basis, {0: "U", 7: "V"})
     report = verify(_with_plan(proto, bad), eye4, swap2)
     assert not report.measurement_ok and not report.passed
+
+
+def _kron_states(proto, box):
+    """Reference post-run states: the full local matrix A (x) B, then the box."""
+    state = np.kron(proto.input_alice.amplitudes, proto.input_bob.amplitudes)
+    states = []
+    for run in proto.runs:
+        state = np.kron(run.alice_op, run.bob_op) @ state
+        state = (box if run.box == FORWARD else box.conj().T) @ state
+        states.append(state)
+    return states
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stacked_kernel_matches_kron_and_synthesis_kernels(d):
+    rng = np.random.default_rng(d)
+    pattern = (FORWARD, REVERSE, REVERSE, FORWARD)
+    boxes = [random_unitary(d * d, 100 * d + k).matrix for k in range(2)]
+    problem = _SynthesisProblem(d, *boxes, (True, True), pattern, ALICE)
+    seen = []
+    minors = problem._minors
+    problem._minors = lambda s, ds: (seen.append(s.copy()), minors(s, ds))[1]
+    params = rng.normal(size=problem.n_params)
+    problem.residual(params)
+    (a, _), (b, _) = problem.inputs(params)
+    layers = [op for op, _ in problem.layers(params)]
+    runs = [Run(layers[2 * r], layers[2 * r + 1], box) for r, box in enumerate(pattern)]
+    proto = _bare(runs, state(a, (d,)), state(b, (d,)))
+
+    states = _propagate(proto, boxes)
+    assert states.shape == (len(pattern) + 1, 2, d, d)
+    for k, box in enumerate(boxes):
+        got = states[1:, k].reshape(len(pattern), -1)
+        np.testing.assert_allclose(got, _kron_states(proto, box), rtol=0, atol=1e-12)
+        # the synthesis kernel visits branch U's runs, then branch V's
+        engine = seen[k * len(pattern):(k + 1) * len(pattern)]
+        np.testing.assert_allclose(states[1:, k], engine, rtol=0, atol=1e-12)
+    assert abs(simulate(proto, boxes[1]).amplitudes - _kron_states(proto, boxes[1])[-1]).max() <= 1e-12
+
+
+def test_verify_rejects_box_of_the_wrong_dimension(eye4):
+    proto = build_protocol(eye4, swap_operator(2))
+    wide = identity_operator((3, 3))
+    with pytest.raises(DimensionMismatch):
+        verify(proto, eye4, wide)
+    with pytest.raises(DimensionMismatch):
+        simulate(proto, wide)
