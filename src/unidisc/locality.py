@@ -130,15 +130,14 @@ def _unitarize(m):
     return w @ vh
 
 
-def _extract_factors(matrix, d):
+def _extract_factors(matrix, d, left, right):
     """(A, B) with kron(A, B) ~ matrix, assuming operator Schmidt rank 1.
 
-    A's largest-magnitude entry is made real positive; the residual global
-    phase is absorbed into B so that kron(A, B) matches ``matrix`` itself,
-    not merely its phase class.
+    ``left`` and ``right`` are the singular vectors of the realigned
+    ``matrix``.  A's largest-magnitude entry is made real positive; the
+    residual global phase is absorbed into B so that kron(A, B) matches
+    ``matrix`` itself, not merely its phase class.
     """
-    r = _realign(matrix, d)
-    left, _, right = np.linalg.svd(r)
     a = _unitarize(left[:, 0].reshape(d, d))
     b = _unitarize(right[0, :].reshape(d, d))
     flat = np.argmax(np.abs(a))
@@ -157,18 +156,19 @@ def classify(u, tol=DEFAULT_TOLERANCES):
     imprimitive verdict carries a product witness whose image is entangled.
     """
     d = u.require_two_party()
-    s, _, _ = operator_schmidt(u)
+    # one full SVD per test: its vectors give the factors when it passes
+    left, s, right = np.linalg.svd(_realign(u.matrix, d))
     values = tuple(float(x) for x in s)
     if s[1] / s[0] <= tol.classification:
-        a, b = _extract_factors(u.matrix, d)
+        a, b = _extract_factors(u.matrix, d, left, right)
         return LocalityClass(PRODUCT_LOCAL, factors=(
             UnitaryOperator(a, (d,)), UnitaryOperator(b, (d,))),
             schmidt_values=values)
     p = swap_operator(d).matrix
     up = u.matrix @ p
-    s_swap = np.linalg.svd(_realign(up, d), compute_uv=False)
+    left, s_swap, right = np.linalg.svd(_realign(up, d))
     if s_swap[1] / s_swap[0] <= tol.classification:
-        a, b = _extract_factors(up, d)
+        a, b = _extract_factors(up, d, left, right)
         return LocalityClass(SWAP_LOCAL, factors=(
             UnitaryOperator(a, (d,)), UnitaryOperator(b, (d,))),
             schmidt_values=values)

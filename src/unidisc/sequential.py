@@ -10,21 +10,23 @@ The synthesizer grows the arc of the effective operator
 W_k = (U X_k ... X_1 U)^dag (V X_k ... X_1 V) by exactly delta per step:
 writing W_k = Y^dag A Y W_{k-1} with A = U^dag V and Y = X_k L_{k-1} free,
 mapping the arc-ordered eigenbasis of W_{k-1} onto that of A adds the two
-arc lengths.  On the final step a rotation in the plane of the two extreme
-eigenvectors is root-found so the extreme eigenphases land exactly pi
-apart, and the input state comes from the antipodal pair.  Every scheme is
-certified by directly recomputing the overlap.
+arc lengths.  That basis is A's own on every step (W_k = A^{k+1} until the
+cap), so the arc data is carried analytically and A is diagonalized once.
+On the final step a rotation in the plane of the two extreme eigenvectors
+is root-found so the extreme eigenphases land exactly pi apart, and the
+input state comes from one eigendecomposition of the final W.  Every scheme
+is certified by directly recomputing the overlap; there is no numerical
+fallback, a certificate above tolerance raises SynthesisFailed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .arc import _arc_of_phases, theta, zero_hull_state
 from .core import (DEFAULT_TOLERANCES, PureState, TWO_PI, UnitaryOperator,
-                   hermitian_basis, phase_distance, unitary_eig)
+                   phase_distance, unitary_eig)
 from .exceptions import DimensionMismatch, OperatorsEqual, SynthesisFailed
 
 _CEIL_NUDGE = 1e-9  # protects exact ratios like pi / (pi/3) from float drift
@@ -101,115 +103,57 @@ def _capped_rotation(delta, th_w, start_a, start_w):
 def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES, seed=0, restarts=8):
     """Construct a certified sequential scheme with N = required_runs aux ops.
 
-    The analytic arc-growth pass is exact and deterministic; if its
-    certificate unexpectedly misses the orthogonality tolerance, a joint
-    least-squares pass over all auxiliary operations and the input state is
-    tried from seeded restarts before reporting SynthesisFailed.
+    The arc data of W_k is carried analytically: on every uncapped step
+    W_k = A^{k+1}, so its arc-ordered eigenbasis stays that of A, its arc
+    start advances by A's and its arc length by delta.  Only the last step
+    can be capped, and nothing reads the eigendata of its output except the
+    final eigendecomposition of the real product, which yields the input
+    state and the recomputed overlap.  The pass is exact and
+    deterministic; a certificate above the orthogonality tolerance raises
+    SynthesisFailed.  ``seed`` and ``restarts`` are accepted for
+    compatibility and do not change the result.
     """
     n = required_runs(u, v, tol)
     dims = u.dims
     a_mat = u.matrix.conj().T @ v.matrix
     _, va_ord, start_a, delta = _arc_order(a_mat)
+    dim = a_mat.shape[0]
 
+    # W_0 = A; on each uncapped step W_k = A^{k+1} keeps A's eigenbasis
+    start_w, th_w = start_a, delta
     left = u.matrix.copy()
     right = v.matrix.copy()
     aux = []
     for _ in range(n):
-        w = left.conj().T @ right
-        _, vw_ord, start_w, th_w = _arc_order(w)
-        dim = w.shape[0]
-        if th_w + delta <= np.pi + 1e-12:
-            t = 0.0
-        else:
+        # Y = V_A rot V_W^dag with V_W = V_A: the identity unless capped
+        x = left.conj().T
+        if th_w + delta > np.pi + 1e-12:
             t = _capped_rotation(delta, th_w, start_a, start_w)
-        rot = np.eye(dim)
-        if dim >= 2 and t != 0.0:
             c, s = np.cos(t), np.sin(t)
+            rot = np.eye(dim)
             rot[0, 0] = c
             rot[0, dim - 1] = -s
             rot[dim - 1, 0] = s
             rot[dim - 1, dim - 1] = c
-        y = va_ord @ rot @ vw_ord.conj().T
-        x = y @ left.conj().T
+            x = va_ord @ rot @ va_ord.conj().T @ x
         # polar cleanup keeps the accumulated product exactly unitary
         uu, _, vh = np.linalg.svd(x)
         x = uu @ vh
         aux.append(UnitaryOperator(x, dims, tol=1e-9))
         left = u.matrix @ x @ left
         right = v.matrix @ x @ right
+        start_w = (start_w + start_a) % TWO_PI
+        th_w += delta
 
     w = left.conj().T @ right
     phases, vectors = unitary_eig(w)
     found = zero_hull_state(phases, vectors, tol)
-    if found is not None:
-        psi = found[0]
-        overlap = float(abs(np.vdot(psi, w @ psi)))
-        if overlap <= tol.orthogonality:
-            return SequentialScheme(tuple(aux), PureState(psi, dims), overlap)
-
-    return _joint_synthesis(u, v, n, tol, seed, restarts, aux)
-
-
-def _joint_synthesis(u, v, n, tol, seed, restarts, warm_aux):
-    """Least-squares fallback over all aux operations and the input state."""
-    dim = u.matrix.shape[0]
-    n_h = dim * dim
-    basis = hermitian_basis(dim)
-
-    def unpack(params):
-        xs = []
-        for k in range(n):
-            h = np.tensordot(params[k * n_h:(k + 1) * n_h], basis, axes=1)
-            xs.append(scipy.linalg.expm(1j * h))
-        raw = params[n * n_h:]
-        psi = raw[:dim] + 1j * raw[dim:]
-        norm = np.linalg.norm(psi)
-        psi = psi / norm if norm > 1e-9 else np.eye(dim)[:, 0].astype(complex)
-        return xs, psi
-
-    def residual(params):
-        xs, psi = unpack(params)
-        lv, rv = u.matrix @ psi, v.matrix @ psi
-        for x in xs:
-            lv = u.matrix @ (x @ lv)
-            rv = v.matrix @ (x @ rv)
-        z = np.vdot(lv, rv)
-        return np.array([z.real, z.imag])
-
-    rng = np.random.default_rng(seed)
-    best = None
-    starts = []
-    if warm_aux:
-        warm = np.concatenate(
-            [_params_from_hermitian(-1j * scipy.linalg.logm(x.matrix), dim)
-             for x in warm_aux] + [np.ones(2 * dim) / np.sqrt(2 * dim)])
-        starts.append(warm)
-    for _ in range(restarts):
-        starts.append(rng.standard_normal(n * n_h + 2 * dim))
-    for p0 in starts:
-        res = scipy.optimize.least_squares(residual, p0, method="trf",
-                                           xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                                           max_nfev=2000)
-        overlap = float(np.linalg.norm(res.fun))
-        if best is None or overlap < best[0]:
-            xs, psi = unpack(res.x)
-            best = (overlap, xs, psi)
-        if overlap <= tol.orthogonality:
-            break
-    overlap, xs, psi = best
+    overlap = np.inf if found is None else float(abs(np.vdot(found[0], w @ found[0])))
     if overlap > tol.orthogonality:
         raise SynthesisFailed(
-            f"budget {n} exhausted; best overlap {overlap:.3e}",
-            best_overlap=overlap)
-    aux = tuple(UnitaryOperator(x, u.dims, tol=1e-8) for x in xs)
-    return SequentialScheme(aux, PureState(psi, u.dims), overlap)
-
-
-def _params_from_hermitian(h, dim):
-    """Coordinates of Hermitian h in ``hermitian_basis(dim)`` (its inverse)."""
-    basis = hermitian_basis(dim)
-    gram = np.einsum("kij,kij->k", basis.conj(), basis).real
-    return np.einsum("kij,ij->k", basis.conj(), h).real / gram
+            f"arc growth over {n} aux ops missed orthogonality; "
+            f"overlap {overlap:.3e}", best_overlap=overlap)
+    return SequentialScheme(tuple(aux), PureState(found[0], dims), overlap)
 
 
 def evaluate_scheme(scheme, u, v):

@@ -70,33 +70,56 @@ def test_evaluate_scheme_examples():
     assert abs(evaluate_scheme(silly, eye, eye) - 1.0) < 1e-12
 
 
+def _long_chain_pair(d, box_uses, seed):
+    """(U, U W) with W of arc pi / (box_uses - 0.5) in a random basis."""
+    u = random_unitary(d, seed).matrix
+    q = random_unitary(d, seed + 1).matrix
+    phases = 0.7 + np.linspace(0.0, np.pi / (box_uses - 0.5), d)
+    w = (q * np.exp(1j * phases)) @ q.conj().T
+    return UnitaryOperator(u, (d,)), UnitaryOperator(u @ w, (d,))
+
+
 def test_evaluate_matches_certificate():
     eye = identity_operator((2,))
-    for k, delta in enumerate([np.pi / 2, np.pi / 3, 2 * np.pi / 5]):
-        scheme = find_sequential_scheme(eye, diag_op([0.0, delta]), seed=k)
-        assert evaluate_scheme(scheme, eye, diag_op([0.0, delta])) <= 1e-6
-        assert abs(evaluate_scheme(scheme, eye, diag_op([0.0, delta]))
-                   - scheme.overlap) < 1e-9
+    pairs = [(eye, diag_op([0.0, delta]))
+             for delta in [np.pi / 2, np.pi / 3, 2 * np.pi / 5]]
+    # degenerate A = U^dag V at d=4: any basis of each eigenspace is valid
+    delta = 2 * np.pi / 7
+    pairs.append((identity_operator((4,)), diag_op([0.0, 0.0, delta, delta])))
+    # 255 auxiliary unitaries at d=9
+    pairs.append(_long_chain_pair(9, 256, 77))
+    for k, (u, v) in enumerate(pairs):
+        scheme = find_sequential_scheme(u, v, seed=k)
+        assert len(scheme.aux_ops) == required_runs(u, v)
+        assert evaluate_scheme(scheme, u, v) <= 1e-6
+        assert abs(evaluate_scheme(scheme, u, v) - scheme.overlap) < 1e-9
+    assert len(scheme.aux_ops) == 255
 
 
 def test_scheme_never_exceeds_budget_and_is_monotone():
-    for k in range(12):
-        u = random_unitary(2, 5 * k)
-        v = random_unitary(2, 5 * k + 3)
-        n = required_runs(u, v)
-        scheme = find_sequential_scheme(u, v, seed=k)
-        assert len(scheme.aux_ops) <= n
-        assert evaluate_scheme(scheme, u, v) <= 1e-6
-        # arc of the effective operator never regresses along the chain
-        left, right = u.matrix.copy(), v.matrix.copy()
-        arcs = [theta(UnitaryOperator(left.conj().T @ right, u.dims)).theta]
-        for x in scheme.aux_ops:
-            left = u.matrix @ x.matrix @ left
-            right = v.matrix @ x.matrix @ right
-            arcs.append(theta(UnitaryOperator(left.conj().T @ right,
-                                              u.dims, tol=1e-8)).theta)
-        for prev, nxt in zip(arcs, arcs[1:]):
-            assert nxt >= prev - 1e-9
+    for d in (2, 3):
+        for k in range(12):
+            u = random_unitary(d, 5 * k)
+            v = random_unitary(d, 5 * k + 3)
+            n = required_runs(u, v)
+            scheme = find_sequential_scheme(u, v, seed=k)
+            assert len(scheme.aux_ops) <= n
+            assert evaluate_scheme(scheme, u, v) <= 1e-6
+            # arc of the effective operator never regresses along the chain
+            left, right = u.matrix.copy(), v.matrix.copy()
+            arcs = [theta(UnitaryOperator(left.conj().T @ right, u.dims)).theta]
+            for x in scheme.aux_ops:
+                left = u.matrix @ x.matrix @ left
+                right = v.matrix @ x.matrix @ right
+                arcs.append(theta(UnitaryOperator(left.conj().T @ right,
+                                                  u.dims, tol=1e-8)).theta)
+            for prev, nxt in zip(arcs, arcs[1:]):
+                assert nxt >= prev - 1e-9
+            # every uncapped step grows the arc by exactly Theta(U^dag V)
+            delta = arcs[0]
+            for j, arc in enumerate(arcs):
+                if (j + 1) * delta <= np.pi:
+                    assert abs(arc - (j + 1) * delta) <= 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3])
