@@ -50,6 +50,6 @@ for d, seed in [(2, 5), (3, 9), (4, 13)]:
     u = UnitaryOperator(random_unitary(d, seed).matrix, dims)
     w = UnitaryOperator(random_unitary(d, seed + 1).matrix, dims)
     n = required_runs(u, w)
-    scheme = find_sequential_scheme(u, w, seed=seed)
+    scheme = find_sequential_scheme(u, w)
     print(f"  dims {dims}: N = {n}, aux used = {len(scheme.aux_ops)}, "
           f"overlap = {evaluate_scheme(scheme, u, w):.2e}")

@@ -163,7 +163,7 @@ def _cmd_discriminate(args):
         return 0
     if args.mode == "sequential":
         n = required_runs(u, v, tol)
-        scheme = find_sequential_scheme(u, v, tol, seed=seed)
+        scheme = find_sequential_scheme(u, v, tol)
         check = evaluate_scheme(scheme, u, v)
         _emit(args, [f"N = {n} auxiliary operations, {scheme.uses} uses",
                      f"overlap = {check:.3e}"],

@@ -2,9 +2,14 @@
 
 Dispatch follows the locality classes of the pair:
 
-* both product / swap-type (cases IA, IB, IC): closed-form constructions
-  built on single-qudit sequential schemes; every operator in sight maps
-  product states to product states, so the whole process stays product.
+* both product / swap-type (cases IA, IB, IC): closed-form constructions;
+  every operator in sight maps product states to product states, so the
+  whole process stays product.  IB (product vs swap-type) takes one run.
+  IA (both product) runs the single-qudit sequential scheme of the
+  differing factors on their side: N - 1 copies of the factor's U^dag and
+  one possibly capped last op between the box uses.  IC (both swap-type)
+  is IA on the wrapped pair f(X) = X (X1 (x) X2) X^dag, which is product;
+  each f use costs a reverse and a forward box application.
 * one or both entangling (cases II*, III*): the flat run list (local layers,
   box directions, product input) is synthesized directly by seeded
   least-squares over the layer group, with residuals enforcing (a) a
@@ -29,15 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .arc import TWO_PI
 from .compiler import CanonicalXXTarget, compile_word, evaluate_word
 from .core import (DEFAULT_TOLERANCES, PureState, Tolerances, UnitaryOperator,
                    basis_state, gram_schmidt_basis, hermitian_basis,
                    phase_distance, random_unitary, schmidt_split, state)
 from .exceptions import (CompileFailed, DimensionMismatch, OperatorsEqual,
                          SynthesisFailed, ValidationError)
-from .locality import (IMPRIMITIVE, PRODUCT_LOCAL, SWAP_LOCAL,
-                       canonical_xx_matrix, classify, extract_canonical_xx)
+from .locality import (IMPRIMITIVE, PRODUCT_LOCAL, SWAP_LOCAL, classify,
+                       extract_canonical_xx)
 from .protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC, CASE_IDENTITY,
                        CASE_IIA, CASE_IIB, CASE_IIIA, CASE_IIIB_EQUAL,
                        CASE_IIIB_SCALED, FORWARD, REVERSE, LoccProtocol,
@@ -97,12 +101,10 @@ def build_protocol(u, v, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=None):
     kinds = (cu.kind, cv.kind)
 
     if IMPRIMITIVE not in kinds:
-        if kinds == (PRODUCT_LOCAL, PRODUCT_LOCAL):
-            proto = _case_ia(u, v, cu, cv, tol, seed)
-        elif SWAP_LOCAL in kinds and PRODUCT_LOCAL in kinds:
-            proto = _case_ib(u, v, cu, cv, tol)
+        if cu.kind == cv.kind:
+            proto = _case_sequential(u, v, cu, cv, tol, seed)
         else:
-            proto = _case_ic(u, v, cu, cv, tol, seed)
+            proto = _case_ib(u, v, cu, cv, tol)
     elif kinds.count(IMPRIMITIVE) == 1:
         primitive_kind = cv.kind if cu.kind == IMPRIMITIVE else cu.kind
         label = CASE_IIA if primitive_kind == PRODUCT_LOCAL else CASE_IIB
@@ -138,35 +140,6 @@ def identity_vs_other(w, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=None):
     return relabeled.with_certificate(verify(relabeled, eye, w, tol))
 
 
-def _single_qudit_scheme_runs(scheme, side, d):
-    """Embed a single-qudit sequential scheme as two-qudit runs."""
-    eye = np.eye(d, dtype=complex)
-    runs = [Run(eye, eye, FORWARD)]
-    for x in scheme.aux_ops:
-        if side == ALICE:
-            runs.append(Run(x.matrix, eye, FORWARD))
-        else:
-            runs.append(Run(eye, x.matrix, FORWARD))
-    return runs
-
-
-def _case_ia(u, v, cu, cv, tol, seed):
-    """Both product: discriminate the differing single-qudit factors."""
-    d = u.dims[0]
-    (ua, ub), (va, vb) = cu.factors, cv.factors
-    if phase_distance(ua, va) > tol.classification:
-        side, pair = ALICE, (ua, va)
-    else:
-        side, pair = BOB, (ub, vb)
-    scheme = find_sequential_scheme(pair[0], pair[1], tol, seed=seed)
-    runs = _single_qudit_scheme_runs(scheme, side, d)
-    idle = basis_state(0, (d,))
-    alice_in = scheme.input if side == ALICE else idle
-    bob_in = scheme.input if side == BOB else idle
-    return _finalize(CASE_IA, runs, alice_in, bob_in, u, v, tol,
-                     notes=f"sequential factor discrimination on {side}")
-
-
 def _case_ib(u, v, cu, cv, tol):
     """Product vs swap-type: one run, input (|0>, S_A^dag P_A |1>)."""
     d = u.dims[0]
@@ -192,55 +165,41 @@ def _sample_noncommuting(target, d, seed):
     raise SynthesisFailed("no non-commuting local unitary found in budget")
 
 
-def _case_ic(u, v, cu, cv, tol, seed):
-    """Both swap-type: wrap f(X) = X (X1 (x) X2) X^dag, then as case IA.
+def _case_sequential(u, v, cu, cv, tol, seed):
+    """Cases IA (both product) and IC (both swap-type): a single-qudit
+    sequential scheme on the side whose factors differ.
 
-    f(U) = U_A X2 U_A^dag (x) U_B X1 U_B^dag, so the wrapped pair is a pair
-    of product operators whose chosen-side factors differ; each f use costs
-    a reverse and a forward box application.
+    Case IC first wraps f(X) = X (X1 (x) X2) X^dag: f(U) = U_A X2 U_A^dag (x)
+    U_B X1 U_B^dag, so the wrapped pair is a pair of product operators whose
+    chosen-side factors differ; each f use costs a reverse and a forward
+    box application.
     """
     d = u.dims[0]
     (ua, ub), (va, vb) = cu.factors, cv.factors
     eye = np.eye(d, dtype=complex)
-    if phase_distance(ua, va) > tol.classification:
-        side = ALICE
-        x2 = _sample_noncommuting(ua.matrix.conj().T @ va.matrix, d, seed)
-        x1 = eye
-        pair = (UnitaryOperator(ua.matrix @ x2 @ ua.matrix.conj().T, (d,), 1e-8),
-                UnitaryOperator(va.matrix @ x2 @ va.matrix.conj().T, (d,), 1e-8))
-    else:
-        side = BOB
-        x1 = _sample_noncommuting(ub.matrix.conj().T @ vb.matrix, d, seed)
-        x2 = eye
-        pair = (UnitaryOperator(ub.matrix @ x1 @ ub.matrix.conj().T, (d,), 1e-8),
-                UnitaryOperator(vb.matrix @ x1 @ vb.matrix.conj().T, (d,), 1e-8))
-    scheme = find_sequential_scheme(pair[0], pair[1], tol, seed=seed)
-    inner = _single_qudit_scheme_runs(scheme, side, d)
+    side = ALICE if phase_distance(ua, va) > tol.classification else BOB
+    pair = (ua, va) if side == ALICE else (ub, vb)
+    wrap = cu.kind == SWAP_LOCAL
+    if wrap:
+        x = _sample_noncommuting(pair[0].matrix.conj().T @ pair[1].matrix, d, seed)
+        x1, x2 = (eye, x) if side == ALICE else (x, eye)
+        pair = tuple(UnitaryOperator(f.matrix @ x @ f.matrix.conj().T, (d,), 1e-8)
+                     for f in pair)
+    scheme = find_sequential_scheme(pair[0], pair[1], tol)
     runs = []
-    for run in inner:
-        runs.append(Run(run.alice_op, run.bob_op, REVERSE))
-        runs.append(Run(x1, x2, FORWARD))
+    for op in [eye] + [aux.matrix for aux in scheme.aux_ops]:
+        local = (op, eye) if side == ALICE else (eye, op)
+        if wrap:
+            runs += [Run(*local, REVERSE), Run(x1, x2, FORWARD)]
+        else:
+            runs.append(Run(*local, FORWARD))
     idle = basis_state(0, (d,))
-    alice_in = scheme.input if side == ALICE else idle
-    bob_in = scheme.input if side == BOB else idle
-    return _finalize(CASE_IC, runs, alice_in, bob_in, u, v, tol,
-                     notes=f"conjugation wrap, discriminating side {side}")
-
-
-def _phase_aware_xx(m, d, tol_resid):
-    """x with m ~ exp(i x u1 (x) u2) up to a global phase, or None."""
-    omega = np.zeros(d, dtype=complex)
-    omega[0] = omega[1] = 1.0 / np.sqrt(2.0)
-    omega_minus = omega.copy()
-    omega_minus[1] = -omega_minus[1]
-    a = np.vdot(np.kron(omega, omega), m @ np.kron(omega, omega))
-    b = np.vdot(np.kron(omega_minus, omega), m @ np.kron(omega_minus, omega))
-    base = 0.5 * (np.angle(a) - np.angle(b))
-    for cand in (base, base + np.pi):
-        x = float(np.mod(cand + np.pi, TWO_PI) - np.pi)
-        if phase_distance(canonical_xx_matrix(d, x), m) <= tol_resid:
-            return x
-    return None
+    alice_in, bob_in = (scheme.input, idle) if side == ALICE else (idle, scheme.input)
+    if wrap:
+        label, notes = CASE_IC, f"conjugation wrap, discriminating side {side}"
+    else:
+        label, notes = CASE_IA, f"sequential factor discrimination on {side}"
+    return _finalize(label, runs, alice_in, bob_in, u, v, tol, notes=notes)
 
 
 def _case_iii_label(u, v, tol, seed, max_boxes):
@@ -263,9 +222,9 @@ def _case_iii_label(u, v, tol, seed, max_boxes):
     if classify(fv_op, loose).kind != IMPRIMITIVE:
         return CASE_IIIA, "f(V) primitive; one-sided reduction applies"
     ext = extract_canonical_xx(fv_op, loose)
-    x = ext.x if ext is not None else _phase_aware_xx(fv, d, 1e-4)
-    if x is None:
+    if ext is None:
         return CASE_IIIA, "f(V) outside the canonical family"
+    x = ext.x
     if abs(x - 1.0) <= 1e-8:
         return CASE_IIIB_EQUAL, "f(V) matches f(U) on the canonical family"
     return CASE_IIIB_SCALED, f"f(V) canonical with x={x:.6f}"

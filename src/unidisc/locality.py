@@ -6,8 +6,8 @@ some product input.  The product test used here is the operator Schmidt
 decomposition (realignment + SVD), which is rank 1 exactly for A (x) B.
 
 The module also recognizes the canonical two-qudit form exp(i x u1 (x) u2)
-with u1 = u2 = sigma_x (+) 0_{d-2}, via a conjugation test: the form is the
-unique family inverted by conjugation with each of
+with u1 = u2 = sigma_x (+) 0_{d-2}, up to a global phase, via a conjugation
+test: the form is the unique family inverted by conjugation with each of
   (sigma_z (+) I) (x) I,  (sigma_y (+) I) (x) I,
   I (x) (sigma_z (+) I),  I (x) (sigma_y (+) I).
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import (DEFAULT_TOLERANCES, PureState, UnitaryOperator,
+from .core import (DEFAULT_TOLERANCES, PureState, TWO_PI, UnitaryOperator,
                    phase_distance, random_pure_state, schmidt_second)
 from .exceptions import ValidationError, WitnessNotFound
 
@@ -222,23 +222,31 @@ def imprimitivity_witness(u, tol=DEFAULT_TOLERANCES, _checked=True):
 
 
 def extract_canonical_xx(u, tol=DEFAULT_TOLERANCES):
-    """Recognize U = exp(i x u1 (x) u2) via the four-conjugator test.
+    """Recognize U = exp(i x u1 (x) u2) up to a global phase.
 
-    Checks U^dag = A U A^dag for every conjugator; on success extracts x
-    from the matrix element at the +1 eigenvector of u1 and validates by
-    reconstruction.  Returns :class:`CanonicalXX` or ``None``.
+    Checks U^dag = A U A^dag up to a phase for every conjugator.  For
+    U = e^{i phi} exp(i x u1 (x) u2) the probes omega (x) omega and
+    omega^- (x) omega (omega, omega^- the +1 and -1 eigenvectors of u1) have
+    matrix elements e^{i(phi + x)} and e^{i(phi - x)}, so x is half their
+    phase difference, up to pi.  The first candidate in [-pi, pi) that
+    passes the reconstruction check is returned as :class:`CanonicalXX`;
+    otherwise ``None``.
     """
     d = u.require_two_party()
     m = u.matrix
     md = m.conj().T
     for a in conjugation_set(d):
-        if np.linalg.norm(md - a @ m @ a.conj().T, ord="fro") > tol.classification:
+        if phase_distance(md, a @ m @ a.conj().T) > tol.classification:
             return None
     omega = np.zeros(d, dtype=complex)
     omega[0] = omega[1] = 1.0 / np.sqrt(2.0)
-    probe = np.kron(omega, omega)
-    x = float(np.angle(np.vdot(probe, m @ probe)))
-    residual = phase_distance(canonical_xx_matrix(d, x), m)
-    if residual > tol.classification:
-        return None
-    return CanonicalXX(x=x, residual=float(residual))
+    omega_minus = omega.copy()
+    omega_minus[1] = -omega_minus[1]
+    plus, minus = np.kron(omega, omega), np.kron(omega_minus, omega)
+    base = 0.5 * (np.angle(np.vdot(plus, m @ plus)) - np.angle(np.vdot(minus, m @ minus)))
+    for cand in (base, base + np.pi):
+        x = float(np.mod(cand + np.pi, TWO_PI) - np.pi)
+        residual = phase_distance(canonical_xx_matrix(d, x), m)
+        if residual <= tol.classification:
+            return CanonicalXX(x=x, residual=float(residual))
+    return None

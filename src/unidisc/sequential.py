@@ -6,17 +6,16 @@ auxiliary operations X_1..X_N suffice:
 
     U X_N U ... X_1 U |psi>   is orthogonal to   V X_N V ... X_1 V |psi>.
 
-The synthesizer grows the arc of the effective operator
-W_k = (U X_k ... X_1 U)^dag (V X_k ... X_1 V) by exactly delta per step:
-writing W_k = Y^dag A Y W_{k-1} with A = U^dag V and Y = X_k L_{k-1} free,
-mapping the arc-ordered eigenbasis of W_{k-1} onto that of A adds the two
-arc lengths.  That basis is A's own on every step (W_k = A^{k+1} until the
-cap), so the arc data is carried analytically and A is diagonalized once.
-On the final step a rotation in the plane of the two extreme eigenvectors
-is root-found so the extreme eigenphases land exactly pi apart, and the
-input state comes from one eigendecomposition of the final W.  Every scheme
-is certified by directly recomputing the overlap; there is no numerical
-fallback, a certificate above tolerance raises SynthesisFailed.
+The scheme is closed form.  With X_k = U^dag the effective operator
+W_k = (U X_k ... X_1 U)^dag (V X_k ... X_1 V) equals A^{k+1}, A = U^dag V,
+whose arc is (k + 1) delta.  Since N delta < pi only the last op can
+overshoot: when (N + 1) delta > pi it becomes V_A rot(t) V_A^dag U^dag, a
+rotation in the plane of A's two extreme eigenvectors root-found so that the
+extreme eigenphases of W_N land exactly pi apart.  A scheme thus holds N - 1
+copies of one U^dag and one possibly capped last op.  The input state comes
+from one eigendecomposition of the final W, recomputed from the real aux
+matrices; every scheme is certified by recomputing the overlap directly,
+and one above tolerance raises SynthesisFailed.
 """
 
 from dataclasses import dataclass
@@ -100,51 +99,41 @@ def _capped_rotation(delta, th_w, start_a, start_w):
     return float(scipy.optimize.brentq(h, lo, hi, xtol=1e-15))
 
 
-def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES, seed=0, restarts=8):
+def _unitary_factor(x, dims):
+    """Polar factor of x as a validated operator, so that chain products
+    stay exactly unitary."""
+    w, _, vh = np.linalg.svd(x)
+    return UnitaryOperator(w @ vh, dims, tol=1e-9)
+
+
+def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES):
     """Construct a certified sequential scheme with N = required_runs aux ops.
 
-    The arc data of W_k is carried analytically: on every uncapped step
-    W_k = A^{k+1}, so its arc-ordered eigenbasis stays that of A, its arc
-    start advances by A's and its arc length by delta.  Only the last step
-    can be capped, and nothing reads the eigendata of its output except the
-    final eigendecomposition of the real product, which yields the input
-    state and the recomputed overlap.  The pass is exact and
-    deterministic; a certificate above the orthogonality tolerance raises
-    SynthesisFailed.  ``seed`` and ``restarts`` are accepted for
-    compatibility and do not change the result.
+    The first N - 1 aux ops are one shared operator U^dag, so that
+    W_k = A^{k+1} with A = U^dag V.  The last is U^dag too unless
+    (N + 1) delta exceeds pi; then it is V_A rot(t) V_A^dag U^dag, the
+    rotation capping the extreme eigenphases of W_N exactly pi apart.  The
+    input state and the overlap come from the eigendecomposition of W_N
+    recomputed from the real aux matrices; a certificate above the
+    orthogonality tolerance raises SynthesisFailed.
     """
     n = required_runs(u, v, tol)
     dims = u.dims
-    a_mat = u.matrix.conj().T @ v.matrix
-    _, va_ord, start_a, delta = _arc_order(a_mat)
-    dim = a_mat.shape[0]
+    _, va_ord, start_a, delta = _arc_order(u.matrix.conj().T @ v.matrix)
+    u_dag = _unitary_factor(u.matrix.conj().T, dims)
+    aux = [u_dag] * n
+    # N delta < pi, so only the last step can overshoot
+    if n and (n + 1) * delta > np.pi + 1e-12:
+        t = _capped_rotation(delta, n * delta, start_a, (n * start_a) % TWO_PI)
+        c, s = np.cos(t), np.sin(t)
+        rot = np.eye(va_ord.shape[0])
+        rot[0, 0], rot[0, -1], rot[-1, 0], rot[-1, -1] = c, -s, s, c
+        aux[-1] = _unitary_factor(va_ord @ rot @ va_ord.conj().T @ u_dag.matrix, dims)
 
-    # W_0 = A; on each uncapped step W_k = A^{k+1} keeps A's eigenbasis
-    start_w, th_w = start_a, delta
-    left = u.matrix.copy()
-    right = v.matrix.copy()
-    aux = []
-    for _ in range(n):
-        # Y = V_A rot V_W^dag with V_W = V_A: the identity unless capped
-        x = left.conj().T
-        if th_w + delta > np.pi + 1e-12:
-            t = _capped_rotation(delta, th_w, start_a, start_w)
-            c, s = np.cos(t), np.sin(t)
-            rot = np.eye(dim)
-            rot[0, 0] = c
-            rot[0, dim - 1] = -s
-            rot[dim - 1, 0] = s
-            rot[dim - 1, dim - 1] = c
-            x = va_ord @ rot @ va_ord.conj().T @ x
-        # polar cleanup keeps the accumulated product exactly unitary
-        uu, _, vh = np.linalg.svd(x)
-        x = uu @ vh
-        aux.append(UnitaryOperator(x, dims, tol=1e-9))
-        left = u.matrix @ x @ left
-        right = v.matrix @ x @ right
-        start_w = (start_w + start_a) % TWO_PI
-        th_w += delta
-
+    left, right = u.matrix, v.matrix
+    for x in aux:
+        left = u.matrix @ x.matrix @ left
+        right = v.matrix @ x.matrix @ right
     w = left.conj().T @ right
     phases, vectors = unitary_eig(w)
     found = zero_hull_state(phases, vectors, tol)

@@ -94,7 +94,7 @@ def _criterion3_schemes():
     for k in range(2, 6):
         v = UnitaryOperator(np.diag([1.0, np.exp(1j * np.pi / k)]), (2,))
         n = required_runs(eye, v)
-        scheme = find_sequential_scheme(eye, v, seed=k)
+        scheme = find_sequential_scheme(eye, v)
         overlap = evaluate_scheme(scheme, eye, v)
         results.append((k, n, len(scheme.aux_ops), overlap))
         artifacts.append(dumps_artifact(scheme_to_json(scheme, seed=k)))

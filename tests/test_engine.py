@@ -191,6 +191,13 @@ def test_case_iii_label_of_criterion7_haar_pairs(s):
         "IIIA", "f(V) outside the canonical family")
 
 
+def test_case_iii_label_ignores_global_phase():
+    u = canonical_xx_operator(2, 1.0)
+    v = UnitaryOperator(np.exp(0.3j) * canonical_xx_operator(2, 0.4).matrix, (2, 2))
+    assert _case_iii_label(u, v, DEFAULT_TOLERANCES, 0, 8) == (
+        "IIIB_SCALED", "f(V) canonical with x=0.400000")
+
+
 def test_controlled_sequential_examples(cnot):
     # control |1>: CNOT acts as sigma_x on the target
     out = controlled_sequential(cnot, [], basis_state(1, (2,)),

@@ -132,6 +132,14 @@ def test_canonical_xx_rejects_perturbations(d):
         assert extract_canonical_xx(op) is None
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_canonical_xx_up_to_global_phase(d):
+    op = UnitaryOperator(np.exp(0.3j) * canonical_xx_operator(d, 0.4).matrix, (d, d))
+    ext = extract_canonical_xx(op)
+    assert ext is not None and abs(ext.x - 0.4) < 1e-12
+    assert ext.residual <= 1e-12
+
+
 def test_canonical_xx_identity_gives_zero():
     ext = extract_canonical_xx(UnitaryOperator(np.eye(9), (3, 3)))
     assert ext is not None and abs(ext.x) < 1e-10

@@ -89,11 +89,26 @@ def test_evaluate_matches_certificate():
     # 255 auxiliary unitaries at d=9
     pairs.append(_long_chain_pair(9, 256, 77))
     for k, (u, v) in enumerate(pairs):
-        scheme = find_sequential_scheme(u, v, seed=k)
+        scheme = find_sequential_scheme(u, v)
         assert len(scheme.aux_ops) == required_runs(u, v)
         assert evaluate_scheme(scheme, u, v) <= 1e-6
         assert abs(evaluate_scheme(scheme, u, v) - scheme.overlap) < 1e-9
     assert len(scheme.aux_ops) == 255
+
+
+def test_scheme_is_closed_form():
+    # every aux op but a capped last one is one shared U^dag
+    u, v = _long_chain_pair(9, 256, 77)
+    aux = find_sequential_scheme(u, v).aux_ops
+    assert len(aux) == 255 and len({id(x) for x in aux}) <= 2
+    for x in aux[1:-1]:
+        assert np.array_equal(x.matrix, aux[0].matrix)
+    assert np.max(np.abs(aux[0].matrix - u.matrix.conj().T)) <= 1e-12
+    # (N + 1) Theta = pi: nothing is capped
+    u = random_unitary(2, 5)
+    v = UnitaryOperator(u.matrix @ np.diag([1.0, np.exp(1j * np.pi / 3)]), (2,))
+    aux = find_sequential_scheme(u, v).aux_ops
+    assert len(aux) == 2 and np.array_equal(aux[0].matrix, aux[1].matrix)
 
 
 def test_scheme_never_exceeds_budget_and_is_monotone():
@@ -102,7 +117,7 @@ def test_scheme_never_exceeds_budget_and_is_monotone():
             u = random_unitary(d, 5 * k)
             v = random_unitary(d, 5 * k + 3)
             n = required_runs(u, v)
-            scheme = find_sequential_scheme(u, v, seed=k)
+            scheme = find_sequential_scheme(u, v)
             assert len(scheme.aux_ops) <= n
             assert evaluate_scheme(scheme, u, v) <= 1e-6
             # arc of the effective operator never regresses along the chain
@@ -127,7 +142,7 @@ def test_scheme_random_pairs_certified(d):
     for k in range(8):
         u = random_unitary(d, 100 + k)
         v = random_unitary(d, 200 + k)
-        scheme = find_sequential_scheme(u, v, seed=k)
+        scheme = find_sequential_scheme(u, v)
         assert evaluate_scheme(scheme, u, v) <= 1e-6
         assert scheme.uses == len(scheme.aux_ops) + 1
 
@@ -135,8 +150,8 @@ def test_scheme_random_pairs_certified(d):
 def test_scheme_determinism():
     u = random_unitary(2, 42)
     v = random_unitary(2, 43)
-    s1 = find_sequential_scheme(u, v, seed=9)
-    s2 = find_sequential_scheme(u, v, seed=9)
+    s1 = find_sequential_scheme(u, v)
+    s2 = find_sequential_scheme(u, v)
     assert len(s1.aux_ops) == len(s2.aux_ops)
     for a, b in zip(s1.aux_ops, s2.aux_ops):
         assert np.array_equal(a.matrix, b.matrix)
@@ -147,5 +162,5 @@ def test_two_qudit_global_scheme():
     # sequential synthesis also covers composite spaces
     u = UnitaryOperator(random_unitary(4, 300).matrix, (2, 2))
     v = UnitaryOperator(random_unitary(4, 301).matrix, (2, 2))
-    scheme = find_sequential_scheme(u, v, seed=1)
+    scheme = find_sequential_scheme(u, v)
     assert evaluate_scheme(scheme, u, v) <= 1e-6
