@@ -16,9 +16,8 @@ from .compiler import (Box, CanonicalXXTarget, CircuitWord, ControlledFormTarget
 from .core import (DEFAULT_TOLERANCES, PureState, Tolerances, UnitaryOperator,
                    basis_state, identity_operator, phase_distance,
                    random_unitary, state, tensor, unitary_eig)
-from .engine import (DecisionLeaf, DecisionNode, DecisionTree, build_protocol,
-                     controlled_sequential, identify, identity_vs_other,
-                     multi_discriminate)
+from .engine import (DecisionTree, build_protocol, controlled_sequential,
+                     identify, identity_vs_other, multi_discriminate)
 from .exceptions import (CompileFailed, DimensionMismatch, EigendecompositionError,
                          NotSingleRunDiscriminable, OperatorsEqual, ParseError,
                          SynthesisFailed, UnidiscError, ValidationError,

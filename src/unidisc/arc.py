@@ -52,18 +52,17 @@ def _merge_circular(phases, tol):
 
 
 def _arc_of_phases(phases, tol):
-    """(theta, largest_gap, start, end) for merged representative phases."""
+    """(theta, largest_gap, start, reps) for merged representative phases."""
     reps = _merge_circular(phases, tol)
     if reps.size <= 1:
         start = float(reps[0]) if reps.size else 0.0
-        return 0.0, TWO_PI, start, start, reps
+        return 0.0, TWO_PI, start, reps
     gaps = np.diff(np.concatenate([reps, [reps[0] + TWO_PI]]))
     k = int(np.argmax(gaps))
     largest = float(gaps[k])
     theta_val = TWO_PI - largest
     start = float(reps[(k + 1) % reps.size])
-    end = float(np.mod(start + theta_val, TWO_PI))
-    return theta_val, largest, start, end, reps
+    return theta_val, largest, start, reps
 
 
 def theta(u, tol=DEFAULT_TOLERANCES):
@@ -73,7 +72,7 @@ def theta(u, tol=DEFAULT_TOLERANCES):
     gap computation so numerical scatter cannot split a degenerate phase.
     """
     phases, _ = unitary_eig(u)
-    theta_val, largest, _, _, reps = _arc_of_phases(phases, tol.classification)
+    theta_val, largest, _, reps = _arc_of_phases(phases, tol.classification)
     return SpectralArc(tuple(float(p) for p in reps), largest, theta_val)
 
 
@@ -91,15 +90,24 @@ def arc_brute_force(phases):
     return float(best if phases.size > 1 else 0.0)
 
 
-def single_run_discriminable(u, v, tol=DEFAULT_TOLERANCES):
-    """True iff Theta(U^dag V) >= pi (within the classification tolerance)."""
+def _relative_spectrum(u, v, tol):
+    """(W, phases, vectors, theta) of W = U^dag V from one eigendecomposition.
+
+    Raises for operators of different dims or equal up to a global phase.
+    """
     if u.dims != v.dims:
         raise DimensionMismatch(f"dims {u.dims} vs {v.dims}")
     if phase_distance(u, v) <= tol.classification:
         raise OperatorsEqual("operators agree up to a global phase")
     w = u.matrix.conj().T @ v.matrix
-    phases, _ = unitary_eig(w)
-    theta_val, _, _, _, _ = _arc_of_phases(phases, tol.classification)
+    phases, vectors = unitary_eig(w)
+    theta_val = _arc_of_phases(phases, tol.classification)[0]
+    return w, phases, vectors, theta_val
+
+
+def single_run_discriminable(u, v, tol=DEFAULT_TOLERANCES):
+    """True iff Theta(U^dag V) >= pi (within the classification tolerance)."""
+    theta_val = _relative_spectrum(u, v, tol)[3]
     return bool(theta_val >= np.pi - tol.classification)
 
 
@@ -188,12 +196,11 @@ def discriminating_state(u, v, tol=DEFAULT_TOLERANCES):
     Requires ``single_run_discriminable(u, v)``; the returned state carries
     a certified overlap |<psi|U^dag V|psi>| <= the orthogonality tolerance.
     """
-    if not single_run_discriminable(u, v, tol):
+    w, phases, vectors, theta_val = _relative_spectrum(u, v, tol)
+    if not theta_val >= np.pi - tol.classification:
         raise NotSingleRunDiscriminable(
             "Theta(U^dag V) < pi: no single-run discriminating state exists"
         )
-    w = u.matrix.conj().T @ v.matrix
-    phases, vectors = unitary_eig(w)
     result = zero_hull_state(phases, vectors, tol)
     if result is None:  # pragma: no cover - excluded by the criterion above
         raise NotSingleRunDiscriminable("origin not inside the eigenvalue hull")

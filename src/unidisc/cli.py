@@ -5,7 +5,7 @@ Commands
 theta U.json                         spectral arc of an operator
 classify U.json                      locality class of a two-qudit operator
 discriminate --mode single|sequential|locc U.json V.json
-multi U1.json U2.json [U3.json ...]  elimination tree over m hypotheses
+multi U1.json U2.json [U3.json ...]  knockout over m hypotheses
 verify protocol.json U.json V.json   re-verify a serialized protocol
 
 Common flags: --tol-ortho, --tol-class, --tol-compile, --seed, --max-boxes,
@@ -28,12 +28,12 @@ from .core import Tolerances
 from .engine import build_protocol, identify, multi_discriminate
 from .exceptions import (CompileFailed, OperatorsEqual, SynthesisFailed,
                          UnidiscError, ValidationError)
-from .io import (load_operator, load_protocol, protocol_to_json,
-                 scheme_to_json, tolerances_to_json, vector_to_json,
-                 write_artifact)
+from .io import (load_operator, load_protocol, matrix_to_json,
+                 protocol_to_json, report_to_json, scheme_to_json,
+                 tolerances_to_json, vector_to_json, write_artifact)
 from .locality import classify
 from .sequential import SequentialScheme, evaluate_scheme, \
-    find_sequential_scheme, required_runs
+    find_sequential_scheme
 from .verifier import verify
 
 
@@ -79,7 +79,7 @@ def _build_parser():
     p.add_argument("v")
     common(p)
 
-    p = sub.add_parser("multi", help="multi-hypothesis elimination tree")
+    p = sub.add_parser("multi", help="multi-hypothesis knockout")
     p.add_argument("operators", nargs="+")
     common(p)
 
@@ -136,7 +136,6 @@ def _cmd_classify(args):
     payload = {"class": result.kind,
                "schmidt_values": list(result.schmidt_values)}
     if result.factors is not None:
-        from .io import matrix_to_json
         payload["factor_alice"] = matrix_to_json(result.factors[0].matrix)
         payload["factor_bob"] = matrix_to_json(result.factors[1].matrix)
     if result.witness is not None:
@@ -162,10 +161,10 @@ def _cmd_discriminate(args):
                "overlap": float(overlap)})
         return 0
     if args.mode == "sequential":
-        n = required_runs(u, v, tol)
         scheme = find_sequential_scheme(u, v, tol)
         check = evaluate_scheme(scheme, u, v)
-        _emit(args, [f"N = {n} auxiliary operations, {scheme.uses} uses",
+        _emit(args, [f"N = {len(scheme.aux_ops)} auxiliary operations, "
+                     f"{scheme.uses} uses",
                      f"overlap = {check:.3e}"],
               scheme_to_json(scheme, seed=seed, tol=tol))
         return 0
@@ -191,7 +190,7 @@ def _cmd_multi(args):
              f"total box_uses = {tree.total_box_uses}"]
     table = {}
     for k, op in enumerate(ops):
-        outcome = identify(tree, op, tol)
+        outcome = identify(tree, op)
         top = max(outcome, key=outcome.get)
         ok = top == k and all(idx == k for idx in outcome)
         table[str(k)] = {"identified": sorted(outcome), "correct": ok}
@@ -227,7 +226,6 @@ def _cmd_verify(args):
         agree = (embedded.passed == report.passed
                  and abs(embedded.overlap - report.overlap) <= 1e-12)
         lines.append(f"embedded report {'matches' if agree else 'DIFFERS'}")
-    from .io import report_to_json
     _emit(args, lines, {"kind": "verify_result",
                         "report": report_to_json(report)})
     return 0 if report.passed else 2

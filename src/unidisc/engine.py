@@ -40,8 +40,8 @@ from .core import (DEFAULT_TOLERANCES, PureState, Tolerances, UnitaryOperator,
                    phase_distance, random_unitary, schmidt_split, state)
 from .exceptions import (CompileFailed, DimensionMismatch, OperatorsEqual,
                          SynthesisFailed, ValidationError)
-from .locality import (IMPRIMITIVE, PRODUCT_LOCAL, SWAP_LOCAL, classify,
-                       extract_canonical_xx)
+from .locality import (IMPRIMITIVE, PRODUCT_LOCAL, SWAP_LOCAL,
+                       canonical_xx_matrix, classify, extract_canonical_xx)
 from .protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC, CASE_IDENTITY,
                        CASE_IIA, CASE_IIB, CASE_IIIA, CASE_IIIB_EQUAL,
                        CASE_IIIB_SCALED, FORWARD, REVERSE, LoccProtocol,
@@ -224,10 +224,11 @@ def _case_iii_label(u, v, tol, seed, max_boxes):
     ext = extract_canonical_xx(fv_op, loose)
     if ext is None:
         return CASE_IIIA, "f(V) outside the canonical family"
-    x = ext.x
-    if abs(x - 1.0) <= 1e-8:
+    # compared as matrices: at d=2 E(x + pi) = -E(x), so x is known only mod pi
+    gap = phase_distance(canonical_xx_matrix(d, ext.x), canonical_xx_matrix(d, 1.0))
+    if gap <= 1e-8:
         return CASE_IIIB_EQUAL, "f(V) matches f(U) on the canonical family"
-    return CASE_IIIB_SCALED, f"f(V) canonical with x={x:.6f}"
+    return CASE_IIIB_SCALED, f"f(V) canonical with x={ext.x:.6f}"
 
 
 class _SynthesisProblem:
@@ -456,34 +457,16 @@ def controlled_sequential(f_controlled, bob_aux, alpha, phi, tol=DEFAULT_TOLERAN
 
 
 @dataclass(frozen=True)
-class DecisionLeaf:
-    """Terminal node naming the surviving hypothesis index."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class DecisionNode:
-    """Internal node: run ``protocol`` for (ops[left], ops[right])."""
-
-    left: int
-    right: int
-    protocol: LoccProtocol
-    on_left: object
-    on_right: object
-
-
-@dataclass(frozen=True)
 class DecisionTree:
-    """Adaptive elimination tree over m hypotheses.
+    """Pairwise protocols for identifying one of m hypotheses by knockout.
 
-    Each root-to-leaf path runs m - 1 pairwise protocols; the true operator
-    wins every protocol it takes part in, so every leaf reached with
-    positive probability names the ground truth.  ``protocols`` collects the
-    distinct pairwise protocols built (lazily shared across branches).
+    ``protocols`` maps every pair (i, j), i < j, to the protocol telling
+    ops[i] from ops[j].  Hypothesis 0 starts as champion; round k = 1..m-1
+    runs the protocol of (champion, k) and the winner becomes champion.  The
+    true operator wins every protocol it takes part in, so each of the m - 1
+    rounds keeps it, and once it enters it stays champion to the end.
     """
 
-    root: object
     protocols: dict
 
     @property
@@ -492,7 +475,7 @@ class DecisionTree:
 
 
 def multi_discriminate(ops, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=None):
-    """Elimination tree of pairwise protocols identifying one of m operators."""
+    """Every pairwise protocol of a knockout identifying one of m operators."""
     ops = list(ops)
     if len(ops) < 2:
         raise ValidationError("need at least two hypotheses")
@@ -500,46 +483,29 @@ def multi_discriminate(ops, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=None):
         for j in range(i + 1, len(ops)):
             if phase_distance(ops[i], ops[j]) <= tol.classification:
                 raise OperatorsEqual(f"hypotheses {i} and {j} coincide")
-
-    protocols = {}
-
-    def pair_protocol(i, j):
-        if (i, j) not in protocols:
-            protocols[(i, j)] = build_protocol(ops[i], ops[j], tol,
-                                               seed=seed, max_boxes=max_boxes)
-        return protocols[(i, j)]
-
-    def build(indices):
-        if len(indices) == 1:
-            return DecisionLeaf(indices[0])
-        i, j, rest = indices[0], indices[1], indices[2:]
-        return DecisionNode(i, j, pair_protocol(i, j),
-                            build((i,) + rest), build((j,) + rest))
-
-    root = build(tuple(range(len(ops))))
-    return DecisionTree(root, protocols)
+    return DecisionTree({(i, j): build_protocol(ops[i], ops[j], tol, seed=seed,
+                                                max_boxes=max_boxes)
+                         for i in range(len(ops)) for j in range(i + 1, len(ops))})
 
 
-def identify(tree, box, tol=DEFAULT_TOLERANCES):
-    """All leaves reachable with positive probability for a given box.
+def identify(tree, box):
+    """Champions that survive the knockout with positive probability.
 
-    Exhaustively follows both measurement outcomes weighted by their
-    simulated probabilities; returns {hypothesis index: probability}.
+    Follows both outcomes of every round, weighted by their simulated
+    probabilities, and drops a champion once its weight is at or below
+    1e-12; returns {hypothesis index: probability}.
     """
-    results = {}
-
-    def walk(node, weight):
-        if weight <= 1e-12:
-            return
-        if isinstance(node, DecisionLeaf):
-            results[node.index] = results.get(node.index, 0.0) + weight
-            return
-        probs = outcome_probabilities(node.protocol, box)
-        plan = node.protocol.measurement
-        idx_u = next((k for k, h in plan.decision.items() if h == "U"), 0)
-        p_left = float(probs[idx_u])
-        walk(node.on_left, weight * p_left)
-        walk(node.on_right, weight * (1.0 - p_left))
-
-    walk(tree.root, 1.0)
-    return results
+    m = 1 + max(j for _, j in tree.protocols)
+    champions = {0: 1.0}
+    for k in range(1, m):
+        survivors = {}
+        for c, weight in champions.items():
+            proto = tree.protocols[(c, k)]
+            probs = outcome_probabilities(proto, box)
+            idx_u = next((o for o, h in proto.measurement.decision.items()
+                          if h == "U"), 0)
+            p_u = float(probs[idx_u])
+            survivors[c] = weight * p_u
+            survivors[k] = survivors.get(k, 0.0) + weight * (1.0 - p_u)
+        champions = {c: w for c, w in survivors.items() if w > 1e-12}
+    return champions

@@ -78,8 +78,8 @@ def vector_from_json(data, where="vector"):
                      for j, x in enumerate(data)], dtype=complex)
 
 
-def load_operator(path, tol=None):
-    """Read and validate an operator file into a UnitaryOperator."""
+def _read_object(path):
+    """The JSON object stored at ``path``; any failure is a ParseError."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -89,6 +89,12 @@ def load_operator(path, tol=None):
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
+    return data
+
+
+def load_operator(path, tol=None):
+    """Read and validate an operator file into a UnitaryOperator."""
+    data = _read_object(path)
     if "dims" not in data:
         raise ParseError(f"{path}: missing field 'dims'")
     if "matrix" not in data:
@@ -254,15 +260,7 @@ def scheme_from_json(data):
 
 
 def load_protocol(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    data = _read_object(path)
     if data.get("kind") == "sequential_scheme":
         return scheme_from_json(data)
     return protocol_from_json(data)

@@ -74,9 +74,6 @@ class MeasurementPlan:
             raise ValidationError("measurement basis is not orthonormal within 1e-10")
         object.__setattr__(self, "basis", b)
 
-    def hypothesis(self, outcome):
-        return self.decision.get(outcome, "V")
-
 
 @dataclass(frozen=True)
 class LoccProtocol:

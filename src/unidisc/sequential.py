@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .arc import _arc_of_phases, theta, zero_hull_state
-from .core import (DEFAULT_TOLERANCES, PureState, TWO_PI, UnitaryOperator,
-                   phase_distance, unitary_eig)
+from .arc import _arc_of_phases, _relative_spectrum, zero_hull_state
+from .core import DEFAULT_TOLERANCES, PureState, TWO_PI, UnitaryOperator, unitary_eig
 from .exceptions import DimensionMismatch, OperatorsEqual, SynthesisFailed
 
 _CEIL_NUDGE = 1e-9  # protects exact ratios like pi / (pi/3) from float drift
@@ -45,32 +44,31 @@ class SequentialScheme:
         return len(self.aux_ops) + 1
 
 
+def _runs_for_arc(theta_val, tol):
+    """N = ceil(pi / theta) - 1 for the arc theta of U^dag V."""
+    if theta_val <= tol.classification:
+        raise OperatorsEqual("Theta(U^dag V) vanishes within tolerance")
+    return max(int(np.ceil(np.pi / theta_val - _CEIL_NUDGE)) - 1, 0)
+
+
 def required_runs(u, v, tol=DEFAULT_TOLERANCES):
     """N = ceil(pi / Theta(U^dag V)) - 1 auxiliary operations."""
-    if u.dims != v.dims:
-        raise DimensionMismatch(f"dims {u.dims} vs {v.dims}")
-    if phase_distance(u, v) <= tol.classification:
-        raise OperatorsEqual("operators agree up to a global phase")
-    arc = theta(UnitaryOperator(u.matrix.conj().T @ v.matrix, u.dims), tol)
-    if arc.theta <= tol.classification:
-        raise OperatorsEqual("Theta(U^dag V) vanishes within tolerance")
-    return max(int(np.ceil(np.pi / arc.theta - _CEIL_NUDGE)) - 1, 0)
+    return _runs_for_arc(_relative_spectrum(u, v, tol)[3], tol)
 
 
-def _arc_order(matrix):
-    """Eigendata of a unitary ordered along its spectral arc.
+def _arc_order(phases, vectors):
+    """Eigenvectors of a unitary ordered along its spectral arc.
 
-    Returns (phases_ordered, vectors_ordered, arc_start, arc_length) with
-    phases expressed as unwrapped offsets from the arc start.  Raw phases
-    are used; offsets within 1e-9 of a full turn are folded back to zero so
-    numerically split degenerate eigenvalues stay at the arc start.
+    Returns (vectors_ordered, arc_start, arc_length), the order being that
+    of the phase offsets from the arc start.  Raw phases are used; offsets
+    within 1e-9 of a full turn are folded back to zero so numerically split
+    degenerate eigenvalues stay at the arc start.
     """
-    phases, vectors = unitary_eig(matrix)
-    _, _, start, _, _ = _arc_of_phases(phases, 1e-12)
+    start = _arc_of_phases(phases, 1e-12)[2]
     offsets = np.mod(phases - start, TWO_PI)
     offsets[offsets > TWO_PI - 1e-9] = 0.0
     order = np.argsort(offsets, kind="stable")
-    return offsets[order], vectors[:, order], start, float(offsets[order][-1])
+    return vectors[:, order], start, float(offsets[order][-1])
 
 
 def _capped_rotation(delta, th_w, start_a, start_w):
@@ -117,9 +115,10 @@ def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES):
     recomputed from the real aux matrices; a certificate above the
     orthogonality tolerance raises SynthesisFailed.
     """
-    n = required_runs(u, v, tol)
+    _, phases_a, vectors_a, theta_a = _relative_spectrum(u, v, tol)
+    n = _runs_for_arc(theta_a, tol)
     dims = u.dims
-    _, va_ord, start_a, delta = _arc_order(u.matrix.conj().T @ v.matrix)
+    va_ord, start_a, delta = _arc_order(phases_a, vectors_a)
     u_dag = _unitary_factor(u.matrix.conj().T, dims)
     aux = [u_dag] * n
     # N delta < pi, so only the last step can overshoot

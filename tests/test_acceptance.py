@@ -296,7 +296,7 @@ def test_criterion_09_multi_hypothesis_example():
         assert set(outcome) == {truth}
     elapsed = time.time() - t0
     assert elapsed < 10.0
-    _report(9, "m = 3 elimination tree identifies 3/3 ground truths", t0)
+    _report(9, "m = 3 knockout identifies 3/3 ground truths", t0)
 
 
 def test_criterion_10_determinism_byte_identical():

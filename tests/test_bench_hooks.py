@@ -37,8 +37,9 @@ def test_tracer_installs_every_hook():
 
 
 @pytest.mark.parametrize("box_uses", [2, 32])
-def test_case_ia_build_records_three_eigendecompositions(box_uses):
-    # required_runs' arc, A's arc order and the final W: none per aux step
+def test_case_ia_build_records_two_eigendecompositions(box_uses):
+    # one of A = U^dag V, shared by the run count and the arc order, and one
+    # of the final W: none per aux step
     a, b = random_unitary(2, 5).matrix, random_unitary(2, 6).matrix
     arc = np.pi / (box_uses - 0.5)
     w = np.diag([1.0, np.exp(1j * arc)])
@@ -53,4 +54,4 @@ def test_case_ia_build_records_three_eigendecompositions(box_uses):
     assert proto.case_label == "IA"
     assert len(proto.runs) == box_uses
     eigs = [span for span in tracer.spans if span[0] == "core.unitary_eig"]
-    assert len(eigs) == 3
+    assert len(eigs) == 2

@@ -176,6 +176,20 @@ def test_cli_multi(opfiles, capsys):
     assert "(ok)" in text and "MISMATCH" not in text
 
 
+def test_cli_multi_artifact(opfiles, tmp_path):
+    out = tmp_path / "multi.json"
+    assert main(["multi", opfiles["identity"], opfiles["swap"], opfiles["szI"],
+                 "--quiet", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["kind"] == "multi_discrimination"
+    assert payload["hypotheses"] == 3
+    assert sorted(payload["protocols"]) == ["0,1", "0,2", "1,2"]
+    assert payload["total_box_uses"] == sum(
+        p["box_uses"] for p in payload["protocols"].values())
+    assert payload["simulation"] == {
+        str(k): {"identified": [k], "correct": True} for k in range(3)}
+
+
 def test_cli_artifact_determinism(opfiles, tmp_path):
     out1, out2 = tmp_path / "a1.json", tmp_path / "a2.json"
     args = ["discriminate", "--mode", "locc", opfiles["identity"],

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize._numdiff import approx_derivative
 
+import unidisc.engine
 from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, basis_state,
-                          identity_operator, random_unitary, state)
+                          identity_operator, random_unitary, state, tensor)
 from unidisc.engine import (_case_iii_label, _direction_patterns,
                             _SynthesisProblem, build_protocol,
                             controlled_sequential, identify,
@@ -191,6 +192,15 @@ def test_case_iii_label_of_criterion7_haar_pairs(s):
         "IIIA", "f(V) outside the canonical family")
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_case_iii_label_equal_up_to_phase(d):
+    # at d=2 the extracted x is 1 - pi, since E(x + pi) = -E(x)
+    u = canonical_xx_operator(d, 1.0)
+    v = UnitaryOperator(np.exp(2.5j) * u.matrix, (d, d))
+    assert _case_iii_label(u, v, DEFAULT_TOLERANCES, 0, 8) == (
+        "IIIB_EQUAL", "f(V) matches f(U) on the canonical family")
+
+
 def test_case_iii_label_ignores_global_phase():
     u = canonical_xx_operator(2, 1.0)
     v = UnitaryOperator(np.exp(0.3j) * canonical_xx_operator(2, 0.4).matrix, (2, 2))
@@ -271,6 +281,77 @@ def test_multi_discriminate_four_products():
     for truth, op in enumerate(ops):
         outcome = identify(tree, op)
         assert set(outcome) == {truth}
+
+
+def _product_set(m):
+    return [UnitaryOperator(tensor(random_unitary(2, 100 + k),
+                                   random_unitary(2, 500 + k)).matrix, (2, 2))
+            for k in range(m)]
+
+
+def _tree_walk(tree, box, m):
+    """Reference: the elimination tree walked path by path.  The node of
+    (i, j, rest) runs protocol (i, j) and continues with (i, rest) on the
+    "U" outcome and with (j, rest) otherwise."""
+    results = {}
+
+    def walk(indices, weight):
+        if weight <= 1e-12:
+            return
+        if len(indices) == 1:
+            results[indices[0]] = results.get(indices[0], 0.0) + weight
+            return
+        i, j, rest = indices[0], indices[1], indices[2:]
+        proto = tree.protocols[(i, j)]
+        probs = outcome_probabilities(proto, box)
+        idx_u = next((k for k, h in proto.measurement.decision.items() if h == "U"), 0)
+        p_u = float(probs[idx_u])
+        walk((i,) + rest, weight * p_u)
+        walk((j,) + rest, weight * (1.0 - p_u))
+
+    walk(tuple(range(m)), 1.0)
+    return results
+
+
+def _assert_matches_tree_walk(tree, box, m):
+    got, want = identify(tree, box), _tree_walk(tree, box, m)
+    assert set(got) == set(want)
+    for k in want:
+        assert abs(got[k] - want[k]) <= 1e-9
+
+
+def test_identify_matches_tree_walk_three_hypotheses(eye4, swap2):
+    ops = [eye4, swap2, UnitaryOperator(np.kron(SZ, np.eye(2)), (2, 2))]
+    tree = multi_discriminate(ops)
+    for op in ops:
+        _assert_matches_tree_walk(tree, op, 3)
+
+
+def test_identify_matches_tree_walk_six_products():
+    ops = _product_set(6)
+    tree = multi_discriminate(ops)
+    # an operator outside the set spreads its weight over several champions
+    for op in ops + [product_operator(2, 77)]:
+        _assert_matches_tree_walk(tree, op, 6)
+
+
+def test_identify_runs_each_pair_at_most_once(monkeypatch):
+    ops = _product_set(10)
+    tree = multi_discriminate(ops)
+    assert len(tree.protocols) == 45
+    calls = []
+
+    def spy(proto, box):
+        calls.append(proto)
+        return outcome_probabilities(proto, box)
+
+    monkeypatch.setattr(unidisc.engine, "outcome_probabilities", spy)
+    for truth, op in enumerate(ops):
+        calls.clear()
+        outcome = identify(tree, op)
+        assert set(outcome) == {truth}
+        assert abs(outcome[truth] - 1.0) < 1e-9
+        assert len(calls) <= 45
 
 
 def test_multi_rejects_equal_hypotheses(eye4):
