@@ -197,15 +197,14 @@ def _sweep_layers(a, b, boxes, target, d):
 
 
 def compile_word(q, target, max_boxes=None, tol=DEFAULT_TOLERANCES, seed=0,
-                 restarts=_RESTARTS, box_parity=None, max_patterns=8):
+                 restarts=_RESTARTS, max_patterns=8):
     """Find a circuit word through q matching the target up to global phase.
 
     Iterative deepening on the box count n; direction patterns are searched
     in order of increasing reverse-use count; each pattern gets ``restarts``
     seeded starts of the n+1 local layers, polar-swept in lockstep.  The
     first restart in order whose phase distance to the target is within the
-    compile tolerance gives the word.  ``box_parity="even"`` restricts n to
-    even values.
+    compile tolerance gives the word.
 
     Raises
     ------
@@ -223,9 +222,7 @@ def compile_word(q, target, max_boxes=None, tol=DEFAULT_TOLERANCES, seed=0,
 
     mq = q.matrix
     best_err, best_word = np.inf, None
-    depths = [n for n in range(1, max_boxes + 1)
-              if box_parity != "even" or n % 2 == 0]
-    for n in depths:
+    for n in range(1, max_boxes + 1):
         for p_idx, pattern in enumerate(_direction_patterns(n)[:max_patterns]):
             boxes = np.array([mq if direction == FORWARD else mq.conj().T
                               for direction in pattern])

@@ -98,11 +98,6 @@ class UnitaryOperator:
         object.__setattr__(self, "residual", residual)
 
     @property
-    def dim(self):
-        """Total Hilbert-space dimension."""
-        return self.matrix.shape[0]
-
-    @property
     def is_two_party(self):
         return len(self.dims) == 2
 
@@ -110,17 +105,6 @@ class UnitaryOperator:
         if not (self.is_two_party and self.dims[0] == self.dims[1]):
             raise ValidationError("two-party operators require equal dimensions")
         return self.dims[0]
-
-    def dagger(self):
-        return UnitaryOperator(self.matrix.conj().T, self.dims, self.tol)
-
-    def __matmul__(self, other):
-        if isinstance(other, UnitaryOperator):
-            if self.dims != other.dims:
-                raise DimensionMismatch(f"dims {self.dims} vs {other.dims}")
-            return UnitaryOperator(self.matrix @ other.matrix, self.dims,
-                                   max(self.tol, other.tol))
-        return NotImplemented
 
 
 @dataclass(frozen=True, eq=False)

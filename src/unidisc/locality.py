@@ -172,8 +172,8 @@ def classify(u, tol=DEFAULT_TOLERANCES):
         return LocalityClass(SWAP_LOCAL, factors=(
             UnitaryOperator(a, (d,)), UnitaryOperator(b, (d,))),
             schmidt_values=values)
-    witness = imprimitivity_witness(u, tol, _checked=False)
-    return LocalityClass(IMPRIMITIVE, witness=witness, schmidt_values=values)
+    return LocalityClass(IMPRIMITIVE, witness=_scan_witness(u, d, tol),
+                         schmidt_values=values)
 
 
 def _local_scan_states(d):
@@ -189,16 +189,22 @@ def _local_scan_states(d):
     return basis, sups
 
 
-def imprimitivity_witness(u, tol=DEFAULT_TOLERANCES, _checked=True):
+def imprimitivity_witness(u, tol=DEFAULT_TOLERANCES):
     """Product state whose image under u has second Schmidt coefficient > tol.
 
-    Scans a fixed grid of product inputs (computational-basis products, then
-    products involving pair superpositions), then a fixed budget of seeded
-    random products, so the result is deterministic.
+    The witness of ``classify(u, tol)``; raises ValidationError when u is
+    primitive.
     """
-    d = u.require_two_party()
-    if _checked and classify(u, tol).kind != IMPRIMITIVE:
+    witness = classify(u, tol).witness
+    if witness is None:
         raise ValidationError("operator is primitive; no witness exists")
+    return witness
+
+
+def _scan_witness(u, d, tol):
+    """Scans a fixed grid of product inputs (computational-basis products,
+    then products involving pair superpositions), then a fixed budget of
+    seeded random products, so the result is deterministic."""
 
     def entangles(vec):
         return schmidt_second(u.matrix @ vec, (d, d)) > tol.classification

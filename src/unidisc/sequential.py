@@ -10,18 +10,17 @@ The scheme is closed form.  With X_k = U^dag the effective operator
 W_k = (U X_k ... X_1 U)^dag (V X_k ... X_1 V) equals A^{k+1}, A = U^dag V,
 whose arc is (k + 1) delta.  Since N delta < pi only the last op can
 overshoot: when (N + 1) delta > pi it becomes V_A rot(t) V_A^dag U^dag, a
-rotation in the plane of A's two extreme eigenvectors root-found so that the
-extreme eigenphases of W_N land exactly pi apart.  A scheme thus holds N - 1
-copies of one U^dag and one possibly capped last op.  The input state comes
-from one eigendecomposition of the final W, recomputed from the real aux
-matrices; every scheme is certified by recomputing the overlap directly,
-and one above tolerance raises SynthesisFailed.
+rotation in the plane of A's two extreme eigenvectors by the closed-form
+angle that puts the extreme eigenphases of W_N exactly pi apart.  A scheme
+thus holds N - 1 copies of one U^dag and one possibly capped last op.  The
+input state comes from one eigendecomposition of the final W, recomputed
+from the real aux matrices; every scheme is certified by recomputing the
+overlap directly, and one above tolerance raises SynthesisFailed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .arc import _arc_of_phases, _relative_spectrum, zero_hull_state
 from .core import DEFAULT_TOLERANCES, PureState, TWO_PI, UnitaryOperator, unitary_eig
@@ -59,42 +58,30 @@ def required_runs(u, v, tol=DEFAULT_TOLERANCES):
 def _arc_order(phases, vectors):
     """Eigenvectors of a unitary ordered along its spectral arc.
 
-    Returns (vectors_ordered, arc_start, arc_length), the order being that
-    of the phase offsets from the arc start.  Raw phases are used; offsets
-    within 1e-9 of a full turn are folded back to zero so numerically split
-    degenerate eigenvalues stay at the arc start.
+    Returns (vectors_ordered, arc_length), the order being that of the phase
+    offsets from the arc start.  Raw phases are used; offsets within 1e-9 of
+    a full turn are folded back to zero so numerically split degenerate
+    eigenvalues stay at the arc start.
     """
     start = _arc_of_phases(phases, 1e-12)[2]
     offsets = np.mod(phases - start, TWO_PI)
     offsets[offsets > TWO_PI - 1e-9] = 0.0
     order = np.argsort(offsets, kind="stable")
-    return vectors[:, order], start, float(offsets[order][-1])
+    return vectors[:, order], float(offsets[order][-1])
 
 
-def _capped_rotation(delta, th_w, start_a, start_w):
+def _capped_rotation(delta, n):
     """Rotation angle t making the extreme eigenphase spread exactly pi.
 
-    The two extreme slots of Y(t)^dag A Y(t) W form a 2x2 block
-    R(t)^dag diag(a_s, a_e) R(t) diag(w_s, w_e) whose determinant is fixed,
-    so h(t) = Re(exp(-i sigma/2) tr) = 2 cos(spread/2) and the cap is the
-    root of h on [0, pi/2].
+    The two extreme slots of Y(t)^dag A Y(t) A^n form a 2x2 block
+    R(t)^dag diag(a_s, a_e) R(t) diag(w_s, w_e) whose determinant is fixed;
+    the arc starts cancel in h(t) = Re(exp(-i sigma/2) tr) = 2 cos(spread/2)
+    = 2 cos^2 t cos((n+1) delta/2) + 2 sin^2 t cos((n-1) delta/2).  Capping
+    means (n+1) delta > pi > (n-1) delta, so h vanishes at
+    t = arctan sqrt(-cos((n+1) delta/2) / cos((n-1) delta/2)) in (0, pi/2).
     """
-    a_s, a_e = start_a + 0.0, start_a + delta
-    w_s, w_e = start_w + 0.0, start_w + th_w
-    sigma = a_s + a_e + w_s + w_e
-    da = np.diag(np.exp(1j * np.array([a_s, a_e])))
-    dw = np.diag(np.exp(1j * np.array([w_s, w_e])))
-
-    def h(t):
-        c, s = np.cos(t), np.sin(t)
-        r = np.array([[c, -s], [s, c]])
-        block = r.T @ da @ r @ dw
-        return float(np.real(np.exp(-0.5j * sigma) * np.trace(block)))
-
-    lo, hi = 0.0, np.pi / 2.0
-    if h(lo) >= 0.0:
-        return 0.0
-    return float(scipy.optimize.brentq(h, lo, hi, xtol=1e-15))
+    return float(np.arctan(np.sqrt(-np.cos(0.5 * (n + 1) * delta)
+                                   / np.cos(0.5 * (n - 1) * delta))))
 
 
 def _unitary_factor(x, dims):
@@ -118,12 +105,12 @@ def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES):
     _, phases_a, vectors_a, theta_a = _relative_spectrum(u, v, tol)
     n = _runs_for_arc(theta_a, tol)
     dims = u.dims
-    va_ord, start_a, delta = _arc_order(phases_a, vectors_a)
+    va_ord, delta = _arc_order(phases_a, vectors_a)
     u_dag = _unitary_factor(u.matrix.conj().T, dims)
     aux = [u_dag] * n
     # N delta < pi, so only the last step can overshoot
     if n and (n + 1) * delta > np.pi + 1e-12:
-        t = _capped_rotation(delta, n * delta, start_a, (n * start_a) % TWO_PI)
+        t = _capped_rotation(delta, n)
         c, s = np.cos(t), np.sin(t)
         rot = np.eye(va_ord.shape[0])
         rot[0, 0], rot[0, -1], rot[-1, 0], rot[-1, -1] = c, -s, s, c

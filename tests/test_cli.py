@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from unidisc.cli import main
-from unidisc.core import UnitaryOperator, identity_operator
+from unidisc.core import UnitaryOperator, identity_operator, phase_distance
 from unidisc.exceptions import ParseError, ValidationError
 from unidisc.io import (_runs_from_json, dumps_artifact, load_operator,
                         matrix_from_json, protocol_from_json, protocol_to_json,
-                        save_operator)
+                        save_operator, vector_from_json)
 from unidisc.locality import swap_operator
 from unidisc.engine import build_protocol
 
-from conftest import CNOT_MAT, SZ
+from conftest import CNOT_MAT, SZ, haar_two_qudit, product_operator
 
 
 @pytest.fixture
@@ -115,6 +115,80 @@ def test_cli_discriminate_single_refuses(opfiles, tmp_path, capsys):
     code = main(["discriminate", "--mode", "single", opfiles["I2"], str(path),
                  "--quiet"])
     assert code == 1
+
+
+def test_cli_discriminate_single_writes_state(opfiles, tmp_path):
+    out = tmp_path / "state.json"
+    code = main(["discriminate", "--mode", "single", opfiles["I2"],
+                 opfiles["pauliZ"], "--out", str(out), "--quiet"])
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert data["kind"] == "single_run_state"
+    assert data["overlap"] <= 1e-6
+    psi = vector_from_json(data["input"])
+    assert abs(np.vdot(psi, SZ @ psi)) <= 1e-6
+
+
+def test_cli_verify_sequential_scheme(opfiles, tmp_path, capsys):
+    out = tmp_path / "scheme.json"
+    assert main(["discriminate", "--mode", "sequential", opfiles["I2"],
+                 opfiles["rot60"], "--out", str(out), "--quiet"]) == 0
+    assert main(["verify", str(out), opfiles["I2"], opfiles["rot60"],
+                 "--quiet"]) == 0
+    rot200 = tmp_path / "rot200.json"
+    save_operator(rot200, UnitaryOperator(
+        np.diag([1.0, np.exp(1j * np.deg2rad(200.0))]), (2,)))
+    report = tmp_path / "report.json"
+    assert main(["verify", str(out), opfiles["I2"], str(rot200),
+                 "--out", str(report)]) == 2
+    assert "FAIL" in capsys.readouterr().out
+    assert abs(json.loads(report.read_text())["overlap"] - 0.5) <= 1e-9
+
+
+def test_cli_classify_product_factors(tmp_path):
+    gate = product_operator(2, 5)
+    path, out = tmp_path / "gate.json", tmp_path / "class.json"
+    save_operator(path, gate)
+    assert main(["classify", str(path), "--out", str(out), "--quiet"]) == 0
+    data = json.loads(out.read_text())
+    assert data["class"] == "ProductLocal"
+    rebuilt = np.kron(matrix_from_json(data["factor_alice"]),
+                      matrix_from_json(data["factor_bob"]))
+    assert phase_distance(rebuilt, gate) <= 1e-9
+
+
+def test_cli_equal_operators_exit_1(opfiles, capsys):
+    code = main(["discriminate", "--mode", "locc", opfiles["identity"],
+                 opfiles["identity"], "--quiet"])
+    assert code == 1
+    assert "OperatorsEqual" in capsys.readouterr().err
+
+
+def test_cli_unknown_mode_exits_1(opfiles):
+    assert main(["discriminate", "--mode", "bogus", opfiles["I2"],
+                 opfiles["pauliZ"]]) == 1
+
+
+def test_cli_box_budget_zero_exits_1(tmp_path, capsys):
+    u, v = tmp_path / "u.json", tmp_path / "v.json"
+    save_operator(u, product_operator(2, 1))
+    save_operator(v, haar_two_qudit(2, 10001))
+    code = main(["discriminate", "--mode", "locc", str(u), str(v),
+                 "--max-boxes", "0", "--quiet"])
+    assert code == 1
+    assert "max_boxes must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_exhausted_budget_exits_2(tmp_path, capsys):
+    # criterion-7 Haar pair s=0: the label's compile and the synthesis both
+    # fail within one box
+    u, v = tmp_path / "u.json", tmp_path / "v.json"
+    save_operator(u, haar_two_qudit(2, 11001))
+    save_operator(v, haar_two_qudit(2, 12001))
+    code = main(["discriminate", "--mode", "locc", str(u), str(v),
+                 "--max-boxes", "1", "--quiet"])
+    assert code == 2
+    assert "CompileFailed" in capsys.readouterr().err
 
 
 def test_cli_verify_roundtrip(opfiles, tmp_path, capsys):

@@ -221,10 +221,3 @@ def test_compile_determinism(cnot):
             assert np.array_equal(i1.b, i2.b)
         else:
             assert i1.direction == i2.direction
-
-
-def test_compile_even_parity_constraint(cnot, cz):
-    word = compile_word(cnot, ExactMatrix(cz), max_boxes=4,
-                        box_parity="even", seed=4)
-    assert word.box_uses % 2 == 0
-    assert word.achieved_error <= 1e-6

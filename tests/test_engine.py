@@ -17,7 +17,7 @@ from unidisc.locality import canonical_xx_operator, conjugation_set, \
 from unidisc.protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC,
                               CASE_IDENTITY, CASE_IIA, CASE_IIB, FORWARD,
                               REVERSE)
-from unidisc.verifier import outcome_probabilities, simulate
+from unidisc.verifier import outcome_probabilities, simulate, verify
 
 from conftest import SZ, haar_two_qudit, product_operator, swap_type_operator
 
@@ -125,6 +125,30 @@ def test_identity_vs_other_entry():
     assert proto.case_label == CASE_IDENTITY
     assert "underlying case" in proto.notes
     assert proto.certificate.passed
+
+
+def test_identity_vs_other_verifies_no_more_than_build(monkeypatch):
+    w, eye = product_operator(2, 31), identity_operator((2, 2))
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(unidisc.engine, "verify", spy)
+    build_protocol(eye, w)
+    built = len(calls)
+    calls.clear()
+    proto = identity_vs_other(w)
+    assert len(calls) == built
+    assert proto.certificate == verify(proto, eye, w)
+
+
+@pytest.mark.parametrize("v", [haar_two_qudit(2, 10001),
+                               product_operator(2, 7001)], ids=["IIA", "IA"])
+def test_box_budget_below_one_is_rejected(v):
+    with pytest.raises(ValidationError, match="max_boxes must be at least 1"):
+        build_protocol(product_operator(2, 1), v, max_boxes=0)
 
 
 def test_no_entanglement_trace_everywhere():

@@ -70,13 +70,18 @@ def test_evaluate_scheme_examples():
     assert abs(evaluate_scheme(silly, eye, eye) - 1.0) < 1e-12
 
 
-def _long_chain_pair(d, box_uses, seed):
-    """(U, U W) with W of arc pi / (box_uses - 0.5) in a random basis."""
+def _arc_pair(d, arc, seed):
+    """(U, U W) with W of the given arc in a random basis."""
     u = random_unitary(d, seed).matrix
     q = random_unitary(d, seed + 1).matrix
-    phases = 0.7 + np.linspace(0.0, np.pi / (box_uses - 0.5), d)
+    phases = 0.7 + np.linspace(0.0, arc, d)
     w = (q * np.exp(1j * phases)) @ q.conj().T
     return UnitaryOperator(u, (d,)), UnitaryOperator(u @ w, (d,))
+
+
+def _long_chain_pair(d, box_uses, seed):
+    """(U, U W) with W of arc pi / (box_uses - 0.5) in a random basis."""
+    return _arc_pair(d, np.pi / (box_uses - 0.5), seed)
 
 
 def test_evaluate_matches_certificate():
@@ -109,6 +114,30 @@ def test_scheme_is_closed_form():
     v = UnitaryOperator(u.matrix @ np.diag([1.0, np.exp(1j * np.pi / 3)]), (2,))
     aux = find_sequential_scheme(u, v).aux_ops
     assert len(aux) == 2 and np.array_equal(aux[0].matrix, aux[1].matrix)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_capped_last_op_puts_extremes_pi_apart(d):
+    # 60 arcs from 1e-3 (3141 aux ops) to 0.999 pi, none a divisor of pi
+    worst_gap = worst_overlap = 0.0
+    for k, arc in enumerate(np.geomspace(1e-3, 0.999 * np.pi, 60)):
+        seed = 1000 * d + 2 * k
+        u, v = _arc_pair(d, arc, seed)
+        scheme = find_sequential_scheme(u, v)
+        n = len(scheme.aux_ops)
+        assert n == required_runs(u, v) and (n + 1) * arc > np.pi + 1e-9
+        left, right = u.matrix, v.matrix
+        for x in scheme.aux_ops:
+            left = u.matrix @ x.matrix @ left
+            right = v.matrix @ x.matrix @ right
+        # W keeps the plane of the extreme eigenvectors of U^dag V
+        ends = random_unitary(d, seed + 1).matrix[:, [0, -1]]
+        lam = np.linalg.eigvals(ends.conj().T @ left.conj().T @ right @ ends)
+        gap = abs(abs(np.angle(lam[0] * np.conj(lam[1]))) - np.pi)
+        worst_gap = max(worst_gap, gap)
+        worst_overlap = max(worst_overlap, evaluate_scheme(scheme, u, v))
+    assert worst_gap <= 1e-11
+    assert worst_overlap <= 1e-11
 
 
 def test_scheme_never_exceeds_budget_and_is_monotone():
