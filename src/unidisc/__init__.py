@@ -11,13 +11,12 @@ __version__ = "0.1.0"
 
 from .arc import SpectralArc, discriminating_state, single_run_discriminable, theta
 from .compiler import (Box, CanonicalXXTarget, CircuitWord, ControlledFormTarget,
-                       ExactMatrix, LocalLayer, compile_word, evaluate_word,
-                       word_adjoint)
+                       ExactMatrix, LocalLayer, compile_word, evaluate_word)
 from .core import (DEFAULT_TOLERANCES, PureState, Tolerances, UnitaryOperator,
                    basis_state, identity_operator, phase_distance,
                    random_unitary, state, tensor, unitary_eig)
-from .engine import (DecisionTree, build_protocol, controlled_sequential,
-                     identify, identity_vs_other, multi_discriminate)
+from .engine import (DecisionTree, build_protocol, identify, identity_vs_other,
+                     multi_discriminate)
 from .exceptions import (CompileFailed, DimensionMismatch, EigendecompositionError,
                          NotSingleRunDiscriminable, OperatorsEqual, ParseError,
                          SynthesisFailed, UnidiscError, ValidationError,

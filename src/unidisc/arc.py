@@ -48,6 +48,8 @@ def _merge_circular(phases, tol):
         first = [p - TWO_PI for p in groups.pop()] + groups[0]
         groups[0] = first
     reps = np.mod(np.array([np.mean(g) for g in groups]), TWO_PI)
+    # a wrapped cluster's mean can be a tiny negative value that mod maps to 2 pi
+    reps[reps > TWO_PI - 1e-12] = 0.0
     return np.sort(reps)
 
 

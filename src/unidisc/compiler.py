@@ -43,9 +43,6 @@ class LocalLayer:
     def matrix(self):
         return np.kron(self.a, self.b)
 
-    def dagger(self):
-        return LocalLayer(self.a.conj().T, self.b.conj().T)
-
 
 @dataclass(frozen=True)
 class Box:
@@ -56,9 +53,6 @@ class Box:
     def __post_init__(self):
         if self.direction not in (FORWARD, REVERSE):
             raise ValidationError(f"unknown box direction {self.direction!r}")
-
-    def flipped(self):
-        return Box(REVERSE if self.direction == FORWARD else FORWARD)
 
 
 @dataclass(frozen=True)
@@ -145,13 +139,6 @@ def evaluate_word(word, q):
     return out
 
 
-def word_adjoint(word):
-    """Word evaluating to the adjoint: reversed, layers daggered, boxes flipped."""
-    items = [item.flipped() if isinstance(item, Box) else item.dagger()
-             for item in reversed(word.items)]
-    return CircuitWord(tuple(items), word.achieved_error)
-
-
 def _direction_patterns(n):
     return sorted(iter_product((FORWARD, REVERSE), repeat=n),
                   key=lambda p: (sum(x == REVERSE for x in p), p))
@@ -196,7 +183,7 @@ def _sweep_layers(a, b, boxes, target, d):
     return prefix
 
 
-def compile_word(q, target, max_boxes=None, tol=DEFAULT_TOLERANCES, seed=0,
+def compile_word(q, target, max_boxes, tol=DEFAULT_TOLERANCES, seed=0,
                  restarts=_RESTARTS, max_patterns=8):
     """Find a circuit word through q matching the target up to global phase.
 
@@ -215,8 +202,6 @@ def compile_word(q, target, max_boxes=None, tol=DEFAULT_TOLERANCES, seed=0,
     t_mat = target_matrix(target, d)
     if t_mat.shape[0] != d * d:
         raise DimensionMismatch("target dimension does not match the box")
-    if max_boxes is None:
-        max_boxes = 8 if d == 2 else 16
     if max_boxes < 1:
         raise ValidationError("max_boxes must be at least 1")
 

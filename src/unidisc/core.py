@@ -154,17 +154,15 @@ def identity_operator(dims):
 
 
 def tensor(a, b):
-    """Kronecker product of two operators or two states.
+    """Kronecker product of two operators.
 
     The composite index is row-major: the first factor is most significant.
     Subsystem dimension lists concatenate.
     """
-    if isinstance(a, UnitaryOperator) and isinstance(b, UnitaryOperator):
-        return UnitaryOperator(np.kron(a.matrix, b.matrix), a.dims + b.dims,
-                               max(a.tol, b.tol))
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims)
-    raise DimensionMismatch("tensor requires two operators or two states")
+    if not (isinstance(a, UnitaryOperator) and isinstance(b, UnitaryOperator)):
+        raise DimensionMismatch("tensor requires two operators")
+    return UnitaryOperator(np.kron(a.matrix, b.matrix), a.dims + b.dims,
+                           max(a.tol, b.tol))
 
 
 def phase_distance(u, v):
@@ -185,11 +183,10 @@ def phase_distance(u, v):
 
 
 def _canonical_vector_phase(v):
-    """Rotate v so its first significant component is real positive."""
-    idx = np.flatnonzero(np.abs(v) > 1e-8)
-    if idx.size == 0:
-        return v
-    return v * np.exp(-1j * np.angle(v[idx[0]]))
+    """Rotate the unit vector v so its first significant component is real
+    positive."""
+    first = np.flatnonzero(np.abs(v) > 1e-8)[0]
+    return v * np.exp(-1j * np.angle(v[first]))
 
 
 def unitary_eig(u):

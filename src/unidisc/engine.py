@@ -9,7 +9,9 @@ Dispatch follows the locality classes of the pair:
   differing factors on their side: N - 1 copies of the factor's U^dag and
   one possibly capped last op between the box uses.  IC (both swap-type)
   is IA on the wrapped pair f(X) = X (X1 (x) X2) X^dag, which is product;
-  each f use costs a reverse and a forward box application.
+  each f use costs a reverse and a forward box application.  The wrap's
+  local unitary is a closed-form rotation in the plane of the two farthest
+  apart eigenvectors of the differing factors' relative operator.
 * one or both entangling (cases II*, III*): the flat run list (local layers,
   box directions, product input) is synthesized directly by seeded
   least-squares over the layer group, with residuals enforcing (a) a
@@ -34,11 +36,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.optimize
 
+from .arc import _relative_spectrum
 from .compiler import CanonicalXXTarget, compile_word, evaluate_word
 from .core import (DEFAULT_TOLERANCES, PureState, Tolerances, UnitaryOperator,
                    basis_state, gram_schmidt_basis, hermitian_basis,
-                   identity_operator, phase_distance, random_unitary,
-                   schmidt_split, state)
+                   identity_operator, phase_distance, schmidt_split, state)
 from .exceptions import (CompileFailed, DimensionMismatch, OperatorsEqual,
                          SynthesisFailed, ValidationError)
 from .locality import (IMPRIMITIVE, PRODUCT_LOCAL, SWAP_LOCAL,
@@ -47,10 +49,9 @@ from .protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC, CASE_IDENTITY,
                        CASE_IIA, CASE_IIB, CASE_IIIA, CASE_IIIB_EQUAL,
                        CASE_IIIB_SCALED, FORWARD, REVERSE, LoccProtocol,
                        MeasurementPlan, Run)
-from .sequential import find_sequential_scheme
+from .sequential import _plane_rotation, find_sequential_scheme
 from .verifier import outcome_probabilities, simulate, verify
 
-_X2_RETRIES = 32
 _SYNTH_DEPTHS = (1, 2, 3, 4, 5, 6, 8)
 _SYNTH_RESTARTS = 6
 
@@ -105,7 +106,7 @@ def build_protocol(u, v, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=None):
 
     if IMPRIMITIVE not in kinds:
         if cu.kind == cv.kind:
-            proto = _case_sequential(u, v, cu, cv, tol, seed)
+            proto = _case_sequential(u, v, cu, cv, tol)
         else:
             proto = _case_ib(u, v, cu, cv, tol)
     elif kinds.count(IMPRIMITIVE) == 1:
@@ -155,23 +156,35 @@ def _case_ib(u, v, cu, cv, tol):
     return _finalize(CASE_IB, runs, alice_in, bob_in, u, v, tol)
 
 
-def _sample_noncommuting(target, d, seed):
-    """Seeded Haar samples until one fails to commute with ``target``."""
-    for k in range(_X2_RETRIES):
-        x = random_unitary(d, seed + 7919 * k).matrix
-        if np.linalg.norm(x @ target - target @ x, ord="fro") > 1e-3:
-            return x
-    raise SynthesisFailed("no non-commuting local unitary found in budget")
+def _wrap_rotation(f, g, tol):
+    """Closed-form x for the IC wrap of the factor pair (f, g).
+
+    With T = f^dag g, the wrapped relative operator is similar to
+    x^dag T x T^dag.  For x the rotation by t in the plane of the
+    eigenvectors of T's two farthest apart eigenvalues (chord
+    2 sin(delta/2)), it has eigenphases +-beta and 0 with
+    cos beta = 1 - 2 sin^2 t sin^2(delta/2).  sin t = min(1, 1 / (sqrt 2
+    sin(delta/2))) gives the arc min(2 Theta(T), pi), the most any x can
+    give since arcs add under products.
+    """
+    _, phases, vectors, _ = _relative_spectrum(f, g, tol)
+    lam = np.exp(1j * phases)
+    chords = np.abs(lam[:, None] - lam[None, :])
+    j, k = np.unravel_index(np.argmax(chords), chords.shape)
+    t = np.arcsin(min(1.0, np.sqrt(2.0) / chords[j, k]))
+    return _plane_rotation(vectors, j, k, t)
 
 
-def _case_sequential(u, v, cu, cv, tol, seed):
+def _case_sequential(u, v, cu, cv, tol):
     """Cases IA (both product) and IC (both swap-type): a single-qudit
     sequential scheme on the side whose factors differ.
 
     Case IC first wraps f(X) = X (X1 (x) X2) X^dag: f(U) = U_A X2 U_A^dag (x)
     U_B X1 U_B^dag, so the wrapped pair is a pair of product operators whose
     chosen-side factors differ; each f use costs a reverse and a forward
-    box application.
+    box application.  The wrap's x is the closed-form rotation of
+    :func:`_wrap_rotation`, so IC takes 2 ceil(pi / min(2 Theta(T), pi))
+    boxes for T the relative operator of the differing factors.
     """
     d = u.dims[0]
     (ua, ub), (va, vb) = cu.factors, cv.factors
@@ -180,7 +193,7 @@ def _case_sequential(u, v, cu, cv, tol, seed):
     pair = (ua, va) if side == ALICE else (ub, vb)
     wrap = cu.kind == SWAP_LOCAL
     if wrap:
-        x = _sample_noncommuting(pair[0].matrix.conj().T @ pair[1].matrix, d, seed)
+        x = _wrap_rotation(*pair, tol)
         x1, x2 = (eye, x) if side == ALICE else (x, eye)
         pair = tuple(UnitaryOperator(f.matrix @ x @ f.matrix.conj().T, (d,), 1e-8)
                      for f in pair)
@@ -411,45 +424,6 @@ def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
     raise CompileFailed(
         f"entangling-case synthesis exhausted (max_boxes={max_boxes}); "
         f"best residual {best:.3e}", best_error=float(best))
-
-
-def controlled_sequential(f_controlled, bob_aux, alpha, phi, tol=DEFAULT_TOLERANCES):
-    """Output of f (I (x) X_N) f ... (I (x) X_1) f on |alpha>|phi> for a
-    control-conditioned f, asserting the control stays fixed.
-
-    ``f_controlled`` must be block-diagonal in the control (Alice) basis
-    within tolerance, and alpha must be supported on control indices whose
-    blocks agree, so that f acts as |alpha><alpha| (x) W.  The returned
-    state equals |alpha> (x) (W X_N W ... X_1 W)|phi> within 1e-9.
-    """
-    d = f_controlled.require_two_party()
-    m = f_controlled.matrix
-    blocks = [m[k * d:(k + 1) * d, k * d:(k + 1) * d] for k in range(d)]
-    off = m.copy().reshape(d, d, d, d)
-    for k in range(d):
-        off[k, :, k, :] = 0.0
-    if np.linalg.norm(off) > 1e-6:
-        raise ValidationError("operator is not a controlled form in the "
-                              "computational control basis")
-    support = [k for k in range(d) if abs(alpha.amplitudes[k]) > 1e-12]
-    w = blocks[support[0]]
-    for k in support[1:]:
-        if np.linalg.norm(blocks[k] - w) > 1e-8:
-            raise ValidationError("control input mixes blocks with different "
-                                  "target actions")
-    aux_mats = [x.matrix if isinstance(x, UnitaryOperator) else np.asarray(x, dtype=complex)
-                for x in bob_aux]
-    s = m @ np.kron(alpha.amplitudes, phi.amplitudes)
-    for x in aux_mats:
-        s = np.kron(np.eye(d), x) @ s
-        s = m @ s
-    chain = w @ phi.amplitudes
-    for x in aux_mats:
-        chain = w @ (x @ chain)
-    expected = np.kron(alpha.amplitudes, chain)
-    if np.linalg.norm(s - expected) > 1e-9:
-        raise ValidationError("controlled-sequential identity violated beyond 1e-9")
-    return PureState(s / np.linalg.norm(s), (d, d))
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,15 @@ def _capped_rotation(delta, n):
                                    / np.cos(0.5 * (n - 1) * delta))))
 
 
+def _plane_rotation(vectors, j, k, t):
+    """Rotation by t in the plane of columns j and k of the unitary
+    ``vectors``, identity on their orthogonal complement."""
+    c, s = np.cos(t), np.sin(t)
+    rot = np.eye(vectors.shape[0])
+    rot[j, j], rot[j, k], rot[k, j], rot[k, k] = c, -s, s, c
+    return vectors @ rot @ vectors.conj().T
+
+
 def _unitary_factor(x, dims):
     """Polar factor of x as a validated operator, so that chain products
     stay exactly unitary."""
@@ -110,11 +119,8 @@ def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES):
     aux = [u_dag] * n
     # N delta < pi, so only the last step can overshoot
     if n and (n + 1) * delta > np.pi + 1e-12:
-        t = _capped_rotation(delta, n)
-        c, s = np.cos(t), np.sin(t)
-        rot = np.eye(va_ord.shape[0])
-        rot[0, 0], rot[0, -1], rot[-1, 0], rot[-1, -1] = c, -s, s, c
-        aux[-1] = _unitary_factor(va_ord @ rot @ va_ord.conj().T @ u_dag.matrix, dims)
+        rot = _plane_rotation(va_ord, 0, -1, _capped_rotation(delta, n))
+        aux[-1] = _unitary_factor(rot @ u_dag.matrix, dims)
 
     left, right = u.matrix, v.matrix
     for x in aux:

@@ -28,6 +28,20 @@ def test_theta_two_phase_separation():
     assert abs(theta(diag_op([0.0, np.pi / 3])).theta - np.pi / 3) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cluster_across_zero_merges_to_one_representative_at_zero(d):
+    # +-3e-9 lie within the classification tolerance across the wrap point,
+    # so they form one cluster whose mean sits at (not below or at) zero
+    others = [1.0, 2.5][:d - 2]
+    arc = theta(diag_op([-3e-9, 3e-9] + others))
+    reps = arc.eigenphases
+    assert len(reps) == d - 1
+    assert reps[0] == 0.0
+    assert list(reps) == sorted(reps)
+    assert all(0.0 <= r < 2 * np.pi for r in reps)
+    assert abs(arc.theta - (others[-1] if others else 0.0)) < 1e-8
+
+
 def test_theta_three_phases():
     # gaps pi/2, pi/2, pi; largest gap pi, so theta = pi
     assert abs(theta(diag_op([0.0, np.pi / 2, np.pi])).theta - np.pi) < 1e-12

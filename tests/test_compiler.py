@@ -8,7 +8,7 @@ from unidisc.compiler import (Box, CanonicalXXTarget, CircuitWord,
                               ControlledFormTarget, ExactMatrix, LocalLayer,
                               _INNER, _sweep_layers, compile_word,
                               controlled_form_matrix, evaluate_word,
-                              target_matrix, word_adjoint)
+                              target_matrix)
 from unidisc.core import UnitaryOperator, phase_distance, random_unitary
 from unidisc.exceptions import CompileFailed, ValidationError
 from unidisc.locality import PRODUCT_LOCAL, classify
@@ -46,15 +46,14 @@ def test_evaluate_word_known_cz_identity(cnot, cz):
 
 
 def test_evaluate_word_adjoint_identity(cnot):
-    rng = np.random.default_rng(3)
+    # L0 Q L1 Q^dag L2 (applied left to right) against the explicit product
     layers = [LocalLayer(random_unitary(2, 10 + k).matrix,
                          random_unitary(2, 20 + k).matrix) for k in range(3)]
     word = CircuitWord((layers[0], Box("forward"), layers[1],
                         Box("reverse"), layers[2]))
-    lhs = evaluate_word(word, cnot).matrix.conj().T
-    rhs = evaluate_word(word_adjoint(word), cnot).matrix
-    assert np.linalg.norm(lhs - rhs) < 1e-12
-    del rng
+    q = cnot.matrix
+    want = layers[2].matrix() @ q.conj().T @ layers[1].matrix() @ q @ layers[0].matrix()
+    assert np.linalg.norm(evaluate_word(word, cnot).matrix - want) < 1e-12
 
 
 def test_substitution_only_through_slots(cnot, swap2):

@@ -59,6 +59,14 @@ def test_tensor_associativity_up_to_flattening():
     assert np.max(np.abs(left.matrix - right.matrix)) < 1e-12
 
 
+def test_tensor_rejects_states():
+    psi = basis_state(0, (2,))
+    with pytest.raises(DimensionMismatch):
+        tensor(psi, psi)
+    with pytest.raises(DimensionMismatch):
+        tensor(identity_operator((2,)), psi)
+
+
 def test_phase_distance_phase_invariance():
     u = random_unitary(3, 5)
     shifted = UnitaryOperator(np.exp(1.3j) * u.matrix, (3,))

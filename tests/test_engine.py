@@ -5,12 +5,12 @@ import pytest
 from scipy.optimize._numdiff import approx_derivative
 
 import unidisc.engine
+from unidisc.arc import theta
 from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, basis_state,
-                          identity_operator, random_unitary, state, tensor)
+                          identity_operator, random_unitary, tensor)
 from unidisc.engine import (_case_iii_label, _direction_patterns,
-                            _SynthesisProblem, build_protocol,
-                            controlled_sequential, identify,
-                            identity_vs_other, multi_discriminate)
+                            _SynthesisProblem, _wrap_rotation, build_protocol,
+                            identify, identity_vs_other, multi_discriminate)
 from unidisc.exceptions import OperatorsEqual, ValidationError
 from unidisc.locality import canonical_xx_operator, conjugation_set, \
     extract_canonical_xx
@@ -232,41 +232,20 @@ def test_case_iii_label_ignores_global_phase():
         "IIIB_SCALED", "f(V) canonical with x=0.400000")
 
 
-def test_controlled_sequential_examples(cnot):
-    # control |1>: CNOT acts as sigma_x on the target
-    out = controlled_sequential(cnot, [], basis_state(1, (2,)),
-                                basis_state(0, (2,)))
-    np.testing.assert_allclose(out.amplitudes,
-                               basis_state(3, (2, 2)).amplitudes, atol=1e-12)
-    # aux [H]: output |1> (x) (X H X)|0>
-    had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    out = controlled_sequential(cnot, [had], basis_state(1, (2,)),
-                                basis_state(0, (2,)))
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    want = np.kron([0, 1], sx @ had @ sx @ np.array([1, 0]))
-    np.testing.assert_allclose(out.amplitudes, want, atol=1e-12)
-    # control |0>: identity branch, target gets the aux chain only
-    out = controlled_sequential(cnot, [had], basis_state(0, (2,)),
-                                basis_state(0, (2,)))
-    want = np.kron([1, 0], had @ np.array([1, 0]))
-    np.testing.assert_allclose(out.amplitudes, want, atol=1e-12)
-
-
-def test_controlled_sequential_identity_random_aux(cnot):
-    rng = np.random.default_rng(12)
-    for n_aux in range(5):
-        aux = [random_unitary(2, 500 + 10 * n_aux + j).matrix
-               for j in range(n_aux)]
-        phi = state(rng.standard_normal(2) + 1j * rng.standard_normal(2), (2,))
-        out = controlled_sequential(cnot, aux, basis_state(1, (2,)), phi)
-        # the assertion inside controlled_sequential enforces the identity
-        assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
-
-
-def test_controlled_sequential_rejects_non_controlled(swap2):
-    with pytest.raises(ValidationError):
-        controlled_sequential(swap2, [], basis_state(1, (2,)),
-                              basis_state(0, (2,)))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_wrap_rotation_gives_the_largest_wrapped_arc(d):
+    # x^dag T x T^dag has eigenphases +-beta (and 0), arc min(2 Theta(T), pi)
+    for k, arc in enumerate((0.05, 0.4, 1.2, 1.6, 2.5, 3.1, 4.0, 5.5)):
+        q = random_unitary(d, 900 + k).matrix
+        phases = 0.7 + arc * np.linspace(0.0, 1.0, d)
+        t = (q * np.exp(1j * phases)) @ q.conj().T
+        f = UnitaryOperator(random_unitary(d, 950 + k).matrix, (d,))
+        g = UnitaryOperator(f.matrix @ t, (d,))
+        x = _wrap_rotation(f, g, DEFAULT_TOLERANCES)
+        assert np.linalg.norm(x.conj().T @ x - np.eye(d)) < 1e-12
+        wrapped = UnitaryOperator(x.conj().T @ t @ x @ t.conj().T, (d,))
+        t_arc = theta(UnitaryOperator(t, (d,))).theta
+        assert abs(theta(wrapped).theta - min(2 * t_arc, np.pi)) < 1e-9
 
 
 def test_conjugation_wrap_cancels_canonical_family():
