@@ -10,9 +10,9 @@ tolerance.
 import numpy as np
 import scipy.linalg
 
-from unidisc import (Box, CanonicalXXTarget, ExactMatrix, LocalLayer,
-                     UnitaryOperator, compile_word, evaluate_word,
-                     phase_distance, random_unitary)
+from unidisc import (Box, LocalLayer, UnitaryOperator, compile_word,
+                     evaluate_word, phase_distance, random_unitary)
+from unidisc.locality import canonical_xx_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 CNOT = UnitaryOperator(np.array([[1, 0, 0, 0], [0, 1, 0, 0],
@@ -27,29 +27,29 @@ def describe(word):
 
 
 print("== CZ out of one CNOT ==")
-word = compile_word(CNOT, ExactMatrix(CZ), max_boxes=1)
+word = compile_word(CNOT, CZ, max_boxes=1)
 print("  ", describe(word))
 print("   recheck:", phase_distance(evaluate_word(word, CNOT), CZ))
 
 print()
 print("== an XX interaction out of two CNOTs ==")
 target = scipy.linalg.expm(1j * 0.3 * np.kron(SX, SX))
-word = compile_word(CNOT, ExactMatrix(target), max_boxes=2)
+word = compile_word(CNOT, target, max_boxes=2)
 print("  ", describe(word))
 
 print()
 print("== canonical targets ==")
-word = compile_word(CNOT, CanonicalXXTarget(1.0), max_boxes=2)
+word = compile_word(CNOT, canonical_xx_matrix(2, 1.0), max_boxes=2)
 print("   exp(i u1 (x) u2):", describe(word))
 
 print()
 print("== a Haar-random box works too ==")
 q = UnitaryOperator(random_unitary(4, 42).matrix, (2, 2))
-word = compile_word(q, ExactMatrix(CZ), max_boxes=6, seed=1)
+word = compile_word(q, CZ, max_boxes=6, seed=1)
 print("   CZ from random Q:", describe(word))
 
 print()
 print("== reverse uses come for free ==")
-word = compile_word(CNOT, ExactMatrix(CNOT.matrix.conj().T), max_boxes=2)
+word = compile_word(CNOT, CNOT.matrix.conj().T, max_boxes=2)
 print("   CNOT^dag:", describe(word),
       "(directions:", ",".join(word.directions) + ")")

@@ -57,8 +57,8 @@ def _build_parser():
                        help="compile tolerance (default 1e-6)")
         p.add_argument("--seed", type=int, default=None,
                        help="optimizer seed (default: $UNIDISC_SEED or 0)")
-        p.add_argument("--max-boxes", type=int, default=None,
-                       help="box budget for synthesis (default 8 for d=2, 16 for d=3)")
+        p.add_argument("--max-boxes", type=int, default=8,
+                       help="box budget for synthesis (default 8)")
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write the machine-readable artifact to FILE")
         p.add_argument("--quiet", action="store_true",
@@ -97,10 +97,14 @@ def _tolerances(args):
 
 
 def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("UNIDISC_SEED")
-    return int(env) if env else 0
+    env = os.environ.get("UNIDISC_SEED") or "0"
+    try:
+        seed = int(env) if args.seed is None else args.seed
+    except ValueError:
+        raise ValidationError(f"UNIDISC_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _emit(args, lines, payload):
@@ -166,7 +170,7 @@ def _cmd_discriminate(args):
         _emit(args, [f"N = {len(scheme.aux_ops)} auxiliary operations, "
                      f"{scheme.uses} uses",
                      f"overlap = {check:.3e}"],
-              scheme_to_json(scheme, seed=seed, tol=tol))
+              scheme_to_json(scheme, seed=seed))
         return 0
     if u.require_two_party() != v.require_two_party():
         raise ValidationError("operators live on different spaces")
@@ -174,7 +178,7 @@ def _cmd_discriminate(args):
     report = proto.certificate
     _emit(args, [f"case {proto.case_label}, box_uses = {proto.box_uses}",
                  report.summary()],
-          protocol_to_json(proto, seed=seed, tol=tol))
+          protocol_to_json(proto, seed=seed))
     return 0 if report.passed else 2
 
 

@@ -18,19 +18,17 @@ forward (O(n) products), forming a (x) b by broadcasting, not ``np.kron``.
 """
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, UnitaryOperator, phase_distance,
                    random_unitary)
 from .exceptions import CompileFailed, DimensionMismatch, ValidationError
-from .locality import canonical_xx_matrix
 from .protocol import FORWARD, REVERSE
 
 _SWEEPS = 80
 _INNER = 6
-_RESTARTS = 24
+_RESTARTS = 12
 
 
 @dataclass(frozen=True)
@@ -81,42 +79,6 @@ class CircuitWord:
         return [item.direction for item in self.items if isinstance(item, Box)]
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Compile toward an explicit unitary matrix."""
-
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class ControlledFormTarget:
-    """Canonical controlled unitary |0><0| (x) I + (I - |0><0|) (x) Z_d,
-    Z_d = diag(-1, 1, ..., 1)."""
-
-
-@dataclass(frozen=True)
-class CanonicalXXTarget:
-    """exp(i x u1 (x) u2) with u1 = u2 = sigma_x (+) 0."""
-
-    x: float = 1.0
-
-
-def controlled_form_matrix(d):
-    p0 = np.diag(np.eye(d, dtype=complex)[0])          # |0><0|, and Z_d = I - 2 p0
-    return np.kron(p0, np.eye(d)) + np.kron(np.eye(d) - p0, np.eye(d) - 2 * p0)
-
-
-def target_matrix(target, d):
-    if isinstance(target, ExactMatrix):
-        m = target.matrix
-        return m.matrix if isinstance(m, UnitaryOperator) else np.asarray(m, dtype=complex)
-    if isinstance(target, ControlledFormTarget):
-        return controlled_form_matrix(d)
-    if isinstance(target, CanonicalXXTarget):
-        return canonical_xx_matrix(d, target.x)
-    raise ValidationError(f"unknown compile target {target!r}")
-
-
 def evaluate_word(word, q):
     """Multiply the word, substituting q / q^dag into the box slots.
 
@@ -140,8 +102,8 @@ def evaluate_word(word, q):
 
 
 def _direction_patterns(n):
-    return sorted(iter_product((FORWARD, REVERSE), repeat=n),
-                  key=lambda p: (sum(x == REVERSE for x in p), p))
+    """All forward, then the last use reversed."""
+    return [(FORWARD,) * n, (FORWARD,) * (n - 1) + (REVERSE,)]
 
 
 def _kron(a, b):
@@ -183,12 +145,12 @@ def _sweep_layers(a, b, boxes, target, d):
     return prefix
 
 
-def compile_word(q, target, max_boxes, tol=DEFAULT_TOLERANCES, seed=0,
-                 restarts=_RESTARTS, max_patterns=8):
-    """Find a circuit word through q matching the target up to global phase.
+def compile_word(q, target, max_boxes, tol=DEFAULT_TOLERANCES, seed=0):
+    """Find a circuit word through q matching the target matrix (an ndarray
+    or a UnitaryOperator) up to global phase.
 
-    Iterative deepening on the box count n; direction patterns are searched
-    in order of increasing reverse-use count; each pattern gets ``restarts``
+    Iterative deepening on the box count n; at each n the all-forward
+    pattern, then the one with its last use reversed, gets ``_RESTARTS``
     seeded starts of the n+1 local layers, polar-swept in lockstep.  The
     first restart in order whose phase distance to the target is within the
     compile tolerance gives the word.
@@ -199,27 +161,30 @@ def compile_word(q, target, max_boxes, tol=DEFAULT_TOLERANCES, seed=0,
         carrying the best error and word found, when the budget is spent.
     """
     d = q.require_two_party()
-    t_mat = target_matrix(target, d)
-    if t_mat.shape[0] != d * d:
+    t_mat = target.matrix if isinstance(target, UnitaryOperator) \
+        else np.asarray(target, dtype=complex)
+    if t_mat.shape != (d * d, d * d):
         raise DimensionMismatch("target dimension does not match the box")
     if max_boxes < 1:
         raise ValidationError("max_boxes must be at least 1")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
 
     mq = q.matrix
     best_err, best_word = np.inf, None
     for n in range(1, max_boxes + 1):
-        for p_idx, pattern in enumerate(_direction_patterns(n)[:max_patterns]):
+        for p_idx, pattern in enumerate(_direction_patterns(n)):
             boxes = np.array([mq if direction == FORWARD else mq.conj().T
                               for direction in pattern])
             # restart r > 0 starts layer k at the draws seeded base + 2 (r + k) (+ 1)
             base = (seed * 1_000_003 + n * 10_007 + p_idx * 101) * 2
             draws = np.array([[random_unitary(d, base + 2 * j + side).matrix
-                               for side in (0, 1)] for j in range(restarts + n)])
-            window = np.arange(restarts)[:, None] + np.arange(n + 1)
+                               for side in (0, 1)] for j in range(_RESTARTS + n)])
+            window = np.arange(_RESTARTS)[:, None] + np.arange(n + 1)
             a, b = draws[window, 0], draws[window, 1]
             a[:1] = b[:1] = np.eye(d)
-            err, prev = np.full(restarts, np.nan), np.full(restarts, -1.0)
-            live, first = np.arange(restarts), 0
+            err, prev = np.full(_RESTARTS, np.nan), np.full(_RESTARTS, -1.0)
+            live, first = np.arange(_RESTARTS), 0
             for sweep in range(_SWEEPS):
                 la, lb = a[live], b[live]
                 w = _sweep_layers(la, lb, boxes, t_mat, d)
@@ -230,13 +195,13 @@ def compile_word(q, target, max_boxes, tol=DEFAULT_TOLERANCES, seed=0,
                 err[live[done]] = [phase_distance(w_r, t_mat) for w_r in w[done]]
                 live = live[~done]
                 # end once the first passing restart and all before it stopped
-                while first < restarts and err[first] > tol.compile:
+                while first < _RESTARTS and err[first] > tol.compile:
                     first += 1
-                if first == restarts or err[first] <= tol.compile:
+                if first == _RESTARTS or err[first] <= tol.compile:
                     break
-            if first < restarts:
+            if first < _RESTARTS:
                 return _assemble_word(a[first], b[first], pattern, err[first])
-            for r in range(restarts):
+            for r in range(_RESTARTS):
                 if err[r] < best_err:
                     best_err, best_word = err[r], _assemble_word(a[r], b[r], pattern, err[r])
     raise CompileFailed(f"no word within tolerance at max_boxes={max_boxes}; "

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.optimize
 
 from .arc import _relative_spectrum
-from .compiler import CanonicalXXTarget, compile_word, evaluate_word
+from .compiler import compile_word, evaluate_word
 from .core import (DEFAULT_TOLERANCES, PureState, Tolerances, UnitaryOperator,
                    basis_state, gram_schmidt_basis, hermitian_basis,
                    identity_operator, phase_distance, schmidt_split, state)
@@ -83,7 +83,7 @@ def _finalize(label, runs, alice_in, bob_in, u, v, tol, notes=""):
     return proto.with_certificate(report)
 
 
-def build_protocol(u, v, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=None):
+def build_protocol(u, v, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=8):
     """Full LOCC discrimination protocol for a pair of two-qudit unitaries.
 
     The returned protocol's certificate shows orthogonal final branch states
@@ -94,10 +94,10 @@ def build_protocol(u, v, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=None):
     d = u.require_two_party()
     if v.require_two_party() != d:
         raise DimensionMismatch(f"dims {u.dims} vs {v.dims}")
-    if max_boxes is None:
-        max_boxes = 8 if d == 2 else 16
     if max_boxes < 1:
         raise ValidationError("max_boxes must be at least 1")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     if phase_distance(u, v) <= tol.classification:
         raise OperatorsEqual("operators agree up to a global phase")
 
@@ -126,7 +126,7 @@ def build_protocol(u, v, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=None):
     return proto
 
 
-def identity_vs_other(w, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=None):
+def identity_vs_other(w, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=8):
     """Entry point for discriminating the identity against W != I.
 
     Builds the protocol for the pair (I, W) through the regular dispatch and
@@ -218,9 +218,8 @@ def _case_iii_label(u, v, tol, seed, max_boxes):
     """Canonical-form dichotomy for both-entangling pairs (label only)."""
     d = u.dims[0]
     try:
-        word = compile_word(u, CanonicalXXTarget(1.0),
-                            max_boxes=min(4, max_boxes), tol=tol, seed=seed,
-                            restarts=12, max_patterns=2)
+        word = compile_word(u, canonical_xx_matrix(d, 1.0),
+                            max_boxes=min(4, max_boxes), tol=tol, seed=seed)
     except CompileFailed:
         return CASE_IIIA, "canonical-form compilation failed; generic branch"
     fv = evaluate_word(word, v.matrix)
@@ -444,7 +443,7 @@ class DecisionTree:
         return sum(p.box_uses for p in self.protocols.values())
 
 
-def multi_discriminate(ops, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=None):
+def multi_discriminate(ops, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=8):
     """Every pairwise protocol of a knockout identifying one of m operators."""
     ops = list(ops)
     if len(ops) < 2:

@@ -4,8 +4,8 @@ Matrices are stored as nested arrays of [re, im] pairs, row-major over the
 composite index; the formats are plain text on purpose, since every object
 at desk scale is tiny and inspectability beats compactness.  Serialization
 is lossless for every numeric field (Python float repr round-trips), and
-artifacts always record the tool version, seed, and tolerances that
-produced them.
+every artifact the CLI writes records the tool version, seed, and
+tolerances that produced it.
 """
 
 import json
@@ -154,7 +154,7 @@ def report_from_json(data):
     )
 
 
-def protocol_to_json(proto, seed=None, tol=None):
+def protocol_to_json(proto, seed=None):
     payload = {
         "kind": "locc_protocol",
         "tool_version": __version__,
@@ -176,8 +176,6 @@ def protocol_to_json(proto, seed=None, tol=None):
     }
     if seed is not None:
         payload["seed"] = seed
-    if tol is not None:
-        payload["tolerances"] = tolerances_to_json(tol)
     return payload
 
 
@@ -231,7 +229,7 @@ def protocol_from_json(data):
                             certificate=report, notes=data.get("notes", ""))
 
 
-def scheme_to_json(scheme, seed=None, tol=None):
+def scheme_to_json(scheme, seed=None):
     payload = {
         "kind": "sequential_scheme",
         "tool_version": __version__,
@@ -243,8 +241,6 @@ def scheme_to_json(scheme, seed=None, tol=None):
     }
     if seed is not None:
         payload["seed"] = seed
-    if tol is not None:
-        payload["tolerances"] = tolerances_to_json(tol)
     return payload
 
 

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from unidisc.arc import arc_brute_force, discriminating_state, theta
-from unidisc.compiler import ExactMatrix, LocalLayer, compile_word
+from unidisc.compiler import LocalLayer, compile_word
 from unidisc.core import (UnitaryOperator, identity_operator, phase_distance,
                           random_hermitian, random_unitary)
 from unidisc.engine import (build_protocol, identify, identity_vs_other,
@@ -195,11 +195,10 @@ def _word_artifact(word):
 
 def _criterion6_words():
     cnot = UnitaryOperator(CNOT_MAT, (2, 2))
-    w_cz = compile_word(cnot, ExactMatrix(CZ_MAT), max_boxes=1, seed=6)
+    w_cz = compile_word(cnot, CZ_MAT, max_boxes=1, seed=6)
     target = scipy.linalg.expm(1j * 0.3 * np.kron(SX, SX))
-    w_xx = compile_word(cnot, ExactMatrix(target), max_boxes=2, seed=6)
-    w_dag = compile_word(cnot, ExactMatrix(CNOT_MAT.conj().T), max_boxes=2,
-                         seed=6)
+    w_xx = compile_word(cnot, target, max_boxes=2, seed=6)
+    w_dag = compile_word(cnot, CNOT_MAT.conj().T, max_boxes=2, seed=6)
     return w_cz, w_xx, w_dag
 
 

@@ -286,6 +286,19 @@ def test_env_seed_fallback(opfiles, tmp_path, monkeypatch, capsys):
     assert json.loads(out.read_text())["seed"] == 4
 
 
+@pytest.mark.parametrize("flags, env", [(["--seed", "-1"], None),
+                                        ([], "abc"), ([], "-2")],
+                         ids=["flag_negative", "env_not_integer", "env_negative"])
+def test_cli_bad_seed_exits_1(opfiles, monkeypatch, capsys, flags, env):
+    if env is not None:
+        monkeypatch.setenv("UNIDISC_SEED", env)
+    code = main(["discriminate", "--mode", "locc", opfiles["identity"],
+                 opfiles["swap"], "--quiet", *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError:") and err.count("\n") == 1
+
+
 def test_protocol_serialization_lossless(opfiles):
     eye4 = identity_operator((2, 2))
     proto = build_protocol(eye4, swap_operator(2))

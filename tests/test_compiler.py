@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from unidisc.compiler import (Box, CanonicalXXTarget, CircuitWord,
-                              ControlledFormTarget, ExactMatrix, LocalLayer,
-                              _INNER, _sweep_layers, compile_word,
-                              controlled_form_matrix, evaluate_word,
-                              target_matrix)
+from unidisc.compiler import (Box, CircuitWord, LocalLayer, _INNER,
+                              _sweep_layers, compile_word, evaluate_word)
 from unidisc.core import UnitaryOperator, phase_distance, random_unitary
 from unidisc.exceptions import CompileFailed, ValidationError
-from unidisc.locality import PRODUCT_LOCAL, classify
+from unidisc.locality import (PRODUCT_LOCAL, canonical_xx_matrix,
+                              canonical_xx_operator, classify)
 
 from conftest import (HAD, SX, SZ, CZ_MAT, haar_two_qudit, product_operator,
                       swap_type_operator)
+
+
+def controlled_form_matrix(d):
+    """|0><0| (x) I + (I - |0><0|) (x) Z_d, Z_d = diag(-1, 1, ..., 1)."""
+    p0 = np.diag(np.eye(d, dtype=complex)[0])          # |0><0|, and Z_d = I - 2 p0
+    return np.kron(p0, np.eye(d)) + np.kron(np.eye(d) - p0, np.eye(d) - 2 * p0)
 
 
 def identity_layer(d=2):
@@ -70,7 +74,7 @@ def test_substitution_only_through_slots(cnot, swap2):
 def test_word_closure_on_primitive_boxes(cnot):
     # a compiled word maps product operators to product operators, and
     # swap-type operators too when the box count is even
-    word = compile_word(cnot, ExactMatrix(CZ_MAT), max_boxes=1)
+    word = compile_word(cnot, CZ_MAT, max_boxes=1)
     v = product_operator(2, 77)
     image = evaluate_word(word, v)
     assert classify(image).kind == PRODUCT_LOCAL
@@ -82,7 +86,7 @@ def test_word_closure_on_primitive_boxes(cnot):
 
 
 def test_compile_cz_from_cnot(cnot, cz):
-    word = compile_word(cnot, ExactMatrix(cz), max_boxes=1)
+    word = compile_word(cnot, cz, max_boxes=1)
     assert word.box_uses == 1
     assert word.achieved_error <= 1e-10
     # achieved_error is exactly the recomputed phase distance
@@ -91,32 +95,48 @@ def test_compile_cz_from_cnot(cnot, cz):
 
 
 def test_compile_cnot_identity_word(cnot):
-    word = compile_word(cnot, ExactMatrix(cnot), max_boxes=1)
+    word = compile_word(cnot, cnot, max_boxes=1)
     assert word.box_uses == 1
     assert word.achieved_error <= 1e-12
 
 
 def test_compile_xx_interaction(cnot):
     target = scipy.linalg.expm(1j * 0.3 * np.kron(SX, SX))
-    word = compile_word(cnot, ExactMatrix(target), max_boxes=2, seed=1)
+    word = compile_word(cnot, target, max_boxes=2, seed=1)
     assert word.box_uses <= 2
     assert word.achieved_error <= 1e-6
 
 
 def test_compile_canonical_targets(cnot):
-    word = compile_word(cnot, CanonicalXXTarget(1.0), max_boxes=2, seed=2)
+    word = compile_word(cnot, canonical_xx_matrix(2, 1.0), max_boxes=2, seed=2)
     assert word.achieved_error <= 1e-6
     cf = controlled_form_matrix(2)
     np.testing.assert_allclose(cf, np.diag([1, 1, -1, 1]), atol=1e-15)
-    word2 = compile_word(cnot, ControlledFormTarget(), max_boxes=2, seed=2)
+    word2 = compile_word(cnot, controlled_form_matrix(2), max_boxes=2, seed=2)
     assert word2.achieved_error <= 1e-6
 
 
 def test_compile_haar_box_controlled_form():
     q = UnitaryOperator(random_unitary(4, 55).matrix, (2, 2))
-    word = compile_word(q, ControlledFormTarget(), max_boxes=4, seed=3)
+    word = compile_word(q, controlled_form_matrix(2), max_boxes=4, seed=3)
     assert word.achieved_error <= 1e-6
     assert word.box_uses <= 4
+
+
+def test_compile_operator_target_matches_matrix_target(cnot):
+    w_op = compile_word(cnot, canonical_xx_operator(2, 1.0), max_boxes=2, seed=2)
+    w_mat = compile_word(cnot, canonical_xx_matrix(2, 1.0), max_boxes=2, seed=2)
+    assert w_op.achieved_error == w_mat.achieved_error
+    assert w_op.directions == w_mat.directions
+    for i1, i2 in zip(w_op.items, w_mat.items):
+        if isinstance(i1, LocalLayer):
+            assert np.array_equal(i1.a, i2.a)
+            assert np.array_equal(i1.b, i2.b)
+
+
+def test_compile_rejects_negative_seed(cnot):
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        compile_word(cnot, CZ_MAT, max_boxes=1, seed=-1)
 
 
 def test_compile_failure_reports_best():
@@ -125,7 +145,7 @@ def test_compile_failure_reports_best():
     weak = UnitaryOperator(scipy.linalg.expm(1j * 0.05 * np.kron(SZ, SZ)),
                            (2, 2), tol=1e-9)
     with pytest.raises(CompileFailed) as info:
-        compile_word(weak, ExactMatrix(CZ_MAT), max_boxes=1, restarts=4)
+        compile_word(weak, CZ_MAT, max_boxes=1)
     assert info.value.best_error is not None
     assert info.value.best_error > 1e-3
     assert info.value.best_word is not None
@@ -137,7 +157,7 @@ def test_compile_failure_best_word_is_the_best_restart():
     weak = UnitaryOperator(scipy.linalg.expm(1j * 0.05 * np.kron(SZ, SZ)),
                            (2, 2), tol=1e-9)
     with pytest.raises(CompileFailed) as info:
-        compile_word(weak, ExactMatrix(CZ_MAT), max_boxes=2, restarts=5, seed=7)
+        compile_word(weak, CZ_MAT, max_boxes=2, seed=7)
     best_word, best_error = info.value.best_word, info.value.best_error
     assert best_word.achieved_error == best_error
     recheck = phase_distance(evaluate_word(best_word, weak), CZ_MAT)
@@ -149,12 +169,10 @@ def test_case_iii_canonical_compile_outcomes(s, boxes):
     # the canonical-form compile behind the case-III label of the
     # criterion-7 Haar pairs (arguments as in engine._case_iii_label)
     q = haar_two_qudit(2, 2 * s + 11001)
-    word = compile_word(q, CanonicalXXTarget(1.0), max_boxes=4, seed=s,
-                        restarts=12, max_patterns=2)
+    word = compile_word(q, canonical_xx_matrix(2, 1.0), max_boxes=4, seed=s)
     assert word.directions == ["forward"] * boxes
     assert word.achieved_error < 1e-6
-    recheck = phase_distance(evaluate_word(word, q),
-                             target_matrix(CanonicalXXTarget(1.0), 2))
+    recheck = phase_distance(evaluate_word(word, q), canonical_xx_matrix(2, 1.0))
     assert abs(recheck - word.achieved_error) < 1e-12
 
 
@@ -191,7 +209,7 @@ def _reference_sweep(layers, boxes, target, d):
 def test_stacked_sweep_matches_single_restart_reference(d, n):
     q = haar_two_qudit(d, 40 + n).matrix
     boxes = np.array([q if k % 2 == 0 else q.conj().T for k in range(n)])
-    target = target_matrix(CanonicalXXTarget(1.0), d)
+    target = canonical_xx_matrix(d, 1.0)
     count = 4
     a = np.array([[random_unitary(d, 100 * r + 2 * k).matrix for k in range(n + 1)]
                   for r in range(count)])
@@ -211,8 +229,8 @@ def test_stacked_sweep_matches_single_restart_reference(d, n):
 
 
 def test_compile_determinism(cnot):
-    w1 = compile_word(cnot, CanonicalXXTarget(1.0), max_boxes=2, seed=5)
-    w2 = compile_word(cnot, CanonicalXXTarget(1.0), max_boxes=2, seed=5)
+    w1 = compile_word(cnot, canonical_xx_matrix(2, 1.0), max_boxes=2, seed=5)
+    w2 = compile_word(cnot, canonical_xx_matrix(2, 1.0), max_boxes=2, seed=5)
     assert w1.achieved_error == w2.achieved_error
     for i1, i2 in zip(w1.items, w2.items):
         if isinstance(i1, LocalLayer):

@@ -151,6 +151,13 @@ def test_box_budget_below_one_is_rejected(v):
         build_protocol(product_operator(2, 1), v, max_boxes=0)
 
 
+@pytest.mark.parametrize("v", [haar_two_qudit(2, 10001),
+                               product_operator(2, 7001)], ids=["IIA", "IA"])
+def test_negative_seed_is_rejected(v):
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        build_protocol(product_operator(2, 1), v, seed=-1)
+
+
 def test_no_entanglement_trace_everywhere():
     u = haar_two_qudit(2, 96)
     v = haar_two_qudit(2, 97)
