@@ -10,11 +10,12 @@ with every ``L_k = a_k (x) b_k`` a pair of single-qudit unitaries and each
 deepening on the box count; for each direction pattern the local layers are
 optimized by cyclic polar sweeps: with all layers but one frozen the
 objective |tr(T^dag W)| is linear in the free layer, and its optimal pair
-(a, b) follows from alternating SVD polar factors.  The sweep increases the
-objective monotonically and converges to machine precision near an exact
-word.  Restarts sweep in lockstep as one stack, each with its own stopping
-rule; a sweep builds the suffix environments once and carries the prefix
-forward (O(n) products), forming a (x) b by broadcasting, not ``np.kron``.
+(a, b) follows from alternating unitary polar factors (closed form at d=2,
+SVD at d >= 3).  The sweep increases the objective monotonically and
+converges to machine precision near an exact word.  Restarts sweep in
+lockstep as one stack, each with its own stopping rule; a sweep builds the
+suffix environments once and carries the prefix forward (O(n) products),
+forming a (x) b by broadcasting, not ``np.kron``.
 """
 
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .protocol import FORWARD, REVERSE
 _SWEEPS = 80
 _INNER = 6
 _RESTARTS = 12
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,26 @@ def _kron(a, b):
     return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(r, d * d, d * d)
 
 
+def _polar(g):
+    """Unitary polar factor u @ vh of every g = u s vh in an (R, d, d) stack.
+
+    At d=2 it is W = (g + e^{i arg det g} adj(g)^dag) / sqrt(|g|_F^2 + 2 |det g|),
+    which is also unitary (a valid polar factor) at rank 1; a zero g, where
+    every unitary is one, gets the identity.  d >= 3 takes the SVD.
+    """
+    if g.shape[-1] != 2:
+        u, _, vh = np.linalg.svd(g)
+        return u @ vh
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    scale = np.sqrt(np.sum(g.real ** 2 + g.imag ** 2, axis=(1, 2)) + 2 * np.abs(det))
+    adj_dag = g[:, ::-1, ::-1].conj() * _ADJ_SIGNS      # adj(g)^dag
+    w = g + np.exp(1j * np.angle(det))[:, None, None] * adj_dag
+    if not scale.all():
+        zero = scale == 0
+        w[zero], scale[zero] = np.eye(2), 1.0
+    return w / scale[:, None, None]
+
+
 def _sweep_layers(a, b, boxes, target, d):
     """One cyclic pass of layer updates on the (R, n+1, d, d) factor stacks
     ``a``, ``b`` (in place); returns the (R, d*d, d*d) words."""
@@ -128,10 +150,8 @@ def _sweep_layers(a, b, boxes, target, d):
         la, lb, live = a[:, idx], b[:, idx], np.ones((count, 1, 1), dtype=bool)
         for _ in range(_INNER):
             # x = conj(u vh) maximizes Re tr(g^T x) over unitaries, for g = u s vh
-            u, _, vh = np.linalg.svd((e @ lb.reshape(count, dim, 1)).reshape(count, d, d))
-            a_new = (u @ vh).conj()
-            u, _, vh = np.linalg.svd((a_new.reshape(count, 1, dim) @ e).reshape(count, d, d))
-            b_new = (u @ vh).conj()
+            a_new = _polar((e @ lb.reshape(count, dim, 1)).reshape(count, d, d)).conj()
+            b_new = _polar((a_new.reshape(count, 1, dim) @ e).reshape(count, d, d)).conj()
             step = (np.linalg.norm(a_new - la, axis=(1, 2))
                     + np.linalg.norm(b_new - lb, axis=(1, 2)))
             la, lb = np.where(live, a_new, la), np.where(live, b_new, lb)

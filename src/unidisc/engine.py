@@ -286,29 +286,28 @@ class _SynthesisProblem:
             out.append((vec, (self.unit - np.outer(raw / norm, vec)) / norm))
         return out
 
-    def layer(self, w, v, derivative=False):
-        """exp(i H) from the eigendecomposition (w, v) of H, and its
-        (d*d, d, d) derivative along the basis."""
-        vh = v.conj().T
-        op = (v * np.exp(1j * w)) @ vh
+    def layers(self, params, derivative=False):
+        """Every run's layers exp(i H) as one (2n, d, d) stack (Alice's of run
+        r at 2r, Bob's at 2r + 1) and, with ``derivative``, their
+        (2n, d*d, d, d) derivatives along the basis, else None.  One stacked
+        eigendecomposition serves all of them, and that of the last point is
+        reused, so a Jacobian at the point of the preceding residual does not
+        redo it."""
+        if self._point is None or not np.array_equal(params, self._point):
+            h = np.tensordot(params[4 * self.d:].reshape(2 * self.n, -1), self.basis, axes=1)
+            self._eigh = np.linalg.eigh(h)
+            self._point = np.array(params, copy=True)
+        w, v = self._eigh
+        vh = v.conj().transpose(0, 2, 1)
+        ops = (v * np.exp(1j * w)[:, None, :]) @ vh
         if not derivative:
-            return op, None
+            return ops, None
         # Daleckii-Krein: d exp(iH)[E] = V ((V^dag E V) o G) V^dag, G the
         # divided differences of e^{iw}, written to stay exact at ties
-        gap = 0.5 * (w[:, None] - w[None, :])
-        g = 1j * np.exp(0.5j * (w[:, None] + w[None, :])) * np.sinc(gap / np.pi)
-        return op, v @ ((vh @ self.basis @ v) * g) @ vh
-
-    def layers(self, params, derivative=False):
-        """Every run's (layer, derivative); the eigendecompositions of the
-        last point are reused, so a Jacobian at the point of the preceding
-        residual does not redo them."""
-        if self._point is None or not np.array_equal(params, self._point):
-            n_h = self.d * self.d
-            self._eigh = [np.linalg.eigh(np.tensordot(params[o:o + n_h], self.basis, axes=1))
-                          for o in range(4 * self.d, self.n_params, n_h)]
-            self._point = np.array(params, copy=True)
-        return [self.layer(w, v, derivative) for w, v in self._eigh]
+        w_i, w_j = w[:, :, None], w[:, None, :]
+        g = 1j * np.exp(0.5j * (w_i + w_j)) * np.sinc(0.5 * (w_i - w_j) / np.pi)
+        v, vh = v[:, None], vh[:, None]
+        return ops, v @ ((vh @ self.basis @ v) * g[:, None]) @ vh
 
     def _minors(self, s, ds):
         s, i_j, k_l, i_l, k_j = s.reshape(-1), *self.minors
@@ -327,7 +326,7 @@ class _SynthesisProblem:
         if inputs is None:
             return None, None
         (a, da), (b, db) = inputs
-        layers = self.layers(params, jacobian)
+        ops, dops = self.layers(params, jacobian)
         parts, dparts, finals = [], [], []
         for chain, boxes in zip(self.chains, self.boxes):
             s, ds = np.outer(a, b), None
@@ -336,9 +335,10 @@ class _SynthesisProblem:
                 ds[:2 * d] = da[:, :, None] * b
                 ds[2 * d:4 * d] = a[:, None] * db[:, None, :]
             for r, box in enumerate(boxes):
-                (la, dla), (lb, dlb) = layers[2 * r], layers[2 * r + 1]
+                la, lb = ops[2 * r], ops[2 * r + 1]
                 sb = s @ lb.T
                 if jacobian:
+                    dla, dlb = dops[2 * r], dops[2 * r + 1]
                     dt = la @ ds @ lb.T
                     off = 4 * d + 2 * r * n_h
                     dt[off:off + n_h] += dla @ sb
@@ -388,20 +388,30 @@ def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
 
     Seeded least-squares with the exact Jacobian over (product input,
     per-run local layers); see :class:`_SynthesisProblem` for the residuals.
+
+    No n-use protocol, forward or reverse, ends with an overlap below
+    cos(n Theta / 2) while n Theta < pi, for Theta = Theta(U^dag V) (Acin
+    2001; Duan, Feng and Ying 2007), so depths where that bound exceeds
+    twice the orthogonality tolerance run no solve.  Their starts are still
+    drawn, which keeps every later start, and so the result, unchanged.
     """
     d = u.dims[0]
     chains = (cu.kind == IMPRIMITIVE, cv.kind == IMPRIMITIVE)
     best = np.inf
+    arc = _relative_spectrum(u, v, tol)[3]
 
     rng = np.random.default_rng(seed)
     depths = [n for n in _SYNTH_DEPTHS if n <= max_boxes]
     for n in depths:
+        ruled_out = n * arc < np.pi and np.cos(n * arc / 2) > 2 * tol.orthogonality
         for pattern in _direction_patterns(n):
             for party in (ALICE, BOB):
                 problem = _SynthesisProblem(d, u.matrix, v.matrix, chains,
                                             pattern, party)
                 for restart in range(_SYNTH_RESTARTS):
                     p0 = rng.standard_normal(problem.n_params)
+                    if ruled_out:
+                        continue
                     res = scipy.optimize.least_squares(
                         problem.residual, p0, jac=problem.jacobian,
                         method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
@@ -411,7 +421,7 @@ def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
                     if err > 1e-8:
                         continue
                     (a_vec, _), (b_vec, _) = problem.inputs(res.x)
-                    ops = [op for op, _ in problem.layers(res.x)]
+                    ops, _ = problem.layers(res.x)
                     runs = [Run(ops[2 * r], ops[2 * r + 1], box)
                             for r, box in enumerate(pattern)]
                     proto = _finalize(label, runs, PureState(a_vec, (d,)),

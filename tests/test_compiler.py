@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from unidisc.compiler import (Box, CircuitWord, LocalLayer, _INNER,
+from unidisc.compiler import (Box, CircuitWord, LocalLayer, _INNER, _polar,
                               _sweep_layers, compile_word, evaluate_word)
 from unidisc.core import UnitaryOperator, phase_distance, random_unitary
 from unidisc.exceptions import CompileFailed, ValidationError
@@ -174,6 +174,35 @@ def test_case_iii_canonical_compile_outcomes(s, boxes):
     assert word.achieved_error < 1e-6
     recheck = phase_distance(evaluate_word(word, q), canonical_xx_matrix(2, 1.0))
     assert abs(recheck - word.achieved_error) < 1e-12
+
+
+def _complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("kind", ["random", "rank1", "near_singular", "zero"])
+def test_closed_form_polar_factor(kind):
+    # full-rank g must give the SVD's u @ vh; the polar factor of a complex g
+    # has condition number s1 / s2, so near-singular stacks stop at 1e-3
+    rng = np.random.default_rng(17)
+    g = _complex_stack(rng, (64, 2, 2))
+    full = np.ones(len(g), dtype=bool)
+    if kind == "rank1":
+        g = _complex_stack(rng, (64, 2, 1)) @ _complex_stack(rng, (64, 1, 2))
+        full[:] = False
+    elif kind == "near_singular":
+        u, s, vh = np.linalg.svd(g)
+        s[:, 1] = s[:, 0] * np.logspace(-3, -1, len(g))
+        g = (u * s[:, None, :]) @ vh
+    elif kind == "zero":
+        g[::3] = 0.0
+        full[::3] = False
+    w = _polar(g)
+    assert np.abs(w.conj().transpose(0, 2, 1) @ w - np.eye(2)).max() < 1e-12
+    u, _, vh = np.linalg.svd(g[full])
+    assert np.abs(w[full] - u @ vh).max(initial=0.0) < 1e-12
+    if kind == "zero":
+        assert np.array_equal(w[::3], np.broadcast_to(np.eye(2), w[::3].shape))
 
 
 def _reference_sweep(layers, boxes, target, d):

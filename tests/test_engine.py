@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from scipy.optimize._numdiff import approx_derivative
 
 import unidisc.engine
@@ -12,6 +14,7 @@ from unidisc.engine import (_case_iii_label, _direction_patterns,
                             _SynthesisProblem, _wrap_rotation, build_protocol,
                             identify, identity_vs_other, multi_discriminate)
 from unidisc.exceptions import OperatorsEqual, ValidationError
+from unidisc.io import dumps_artifact, protocol_to_json
 from unidisc.locality import canonical_xx_operator, conjugation_set, \
     extract_canonical_xx
 from unidisc.protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC,
@@ -197,6 +200,94 @@ def test_synthesis_jacobian_matches_central_differences(d, case):
                 assert exact.shape == (problem.n_residuals, problem.n_params)
                 err = np.abs(exact - numeric).max() / np.abs(numeric).max()
                 assert err <= 1e-6, (n, pattern, party, err)
+
+
+def _reference_residual(d, mu, mv, chains, pattern, party, x):
+    """The synthesis residual from its definition: Kronecker-product layers
+    on state vectors, the 2x2 minors of every post-run state on each
+    entangling branch, then the measuring party's marginal overlaps."""
+    def unit(raw):
+        vec = raw[:d] + 1j * raw[d:]
+        return vec / np.linalg.norm(vec)
+
+    def hermitian(c):
+        h = np.diag(c[:d]).astype(complex)
+        k = d
+        for i in range(d):
+            for j in range(i + 1, d):
+                h[i, j], h[j, i] = c[k] + 1j * c[k + 1], c[k] - 1j * c[k + 1]
+                k += 2
+        return h
+
+    coords = x[4 * d:].reshape(len(pattern), 2, d * d)
+    layers = [np.kron(scipy.linalg.expm(1j * hermitian(ca)),
+                      scipy.linalg.expm(1j * hermitian(cb))) for ca, cb in coords]
+    pairs = [(i, k) for i in range(d) for k in range(i + 1, d)]
+    z, finals = [], []
+    for chain, m in zip(chains, (mu, mv)):
+        psi = np.kron(unit(x[:2 * d]), unit(x[2 * d:4 * d]))
+        for layer, direction in zip(layers, pattern):
+            psi = (m if direction == FORWARD else m.conj().T) @ layer @ psi
+            s = psi.reshape(d, d)
+            if chain:
+                z += [s[i, j] * s[k, l] - s[i, l] * s[k, j]
+                      for i, k in pairs for j, l in pairs]
+        finals.append(psi)
+    psi_u, psi_v = finals
+    eye = np.eye(d)
+    if party == ALICE:   # <psi_v| (I (x) |j><l|) |psi_u>
+        z += [np.vdot(psi_v, np.kron(eye, np.outer(eye[j], eye[l])) @ psi_u)
+              for j in range(d) for l in range(d)]
+    else:                # <psi_u| (|k><i| (x) I) |psi_v>
+        z += [np.vdot(psi_u, np.kron(np.outer(eye[k], eye[i]), eye) @ psi_v)
+              for i in range(d) for k in range(d)]
+    z = np.array(z)
+    return np.concatenate([z.real, z.imag])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("case", ["IIA", "IIIA"])
+def test_synthesis_residual_matches_its_definition(d, case):
+    if case == "IIA":
+        u, v = product_operator(d, 1), haar_two_qudit(d, 10001)
+        chains = (False, True)
+    else:
+        u, v = haar_two_qudit(d, 11001), haar_two_qudit(d, 12001)
+        chains = (True, True)
+    rng = np.random.default_rng(10 + d)
+    for n in (1, 2, 3):
+        for pattern in _direction_patterns(n):
+            for party in (ALICE, BOB):
+                args = (d, u.matrix, v.matrix, chains, pattern, party)
+                problem = _SynthesisProblem(*args)
+                x = rng.standard_normal(problem.n_params)
+                got = problem.residual(x)
+                assert got.shape == (problem.n_residuals,)
+                err = np.abs(got - _reference_residual(*args, x)).max()
+                assert err <= 1e-12, (n, pattern, party, err)
+
+
+def test_synthesis_runs_no_solve_at_depths_the_arc_bound_rules_out(monkeypatch):
+    # Theta(U^dag V) = 2.987 < pi, so one use leaves an overlap of at least
+    # cos(Theta / 2) = 0.077; depth 1 gets its draws but no solve
+    u, v = haar_two_qudit(2, 11001), haar_two_qudit(2, 12001)
+    assert 2.98 < theta(UnitaryOperator(u.matrix.conj().T @ v.matrix, (2, 2))).theta < 2.99
+    solve, depths = scipy.optimize.least_squares, []
+
+    def counting(fun, x0, **kwargs):
+        depths.append((len(x0) - 8) // 8)          # n_params = 4d + 2 n d^2
+        return solve(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", counting)
+    skipped = dumps_artifact(protocol_to_json(build_protocol(u, v), seed=0))
+    assert depths and 1 not in depths
+    # an arc of 2 pi rules out no depth: the same draws give the same bytes
+    arc = unidisc.engine._relative_spectrum
+    monkeypatch.setattr(unidisc.engine, "_relative_spectrum",
+                        lambda *args: arc(*args)[:3] + (2 * np.pi,))
+    depths.clear()
+    assert dumps_artifact(protocol_to_json(build_protocol(u, v), seed=0)) == skipped
+    assert depths.count(1) == 2 * 6                # 2 parties x 6 restarts
 
 
 def test_synthesis_jacobian_after_residual_reuses_layers_exactly():

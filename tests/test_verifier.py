@@ -206,7 +206,7 @@ def test_stacked_kernel_matches_kron_and_synthesis_kernels(d):
     params = rng.normal(size=problem.n_params)
     problem.residual(params)
     (a, _), (b, _) = problem.inputs(params)
-    layers = [op for op, _ in problem.layers(params)]
+    layers, _ = problem.layers(params)
     runs = [Run(layers[2 * r], layers[2 * r + 1], box) for r, box in enumerate(pattern)]
     proto = _bare(runs, state(a, (d,)), state(b, (d,)))
 
