@@ -12,8 +12,9 @@ optimized by cyclic polar sweeps: with all layers but one frozen the
 objective |tr(T^dag W)| is linear in the free layer, and its optimal pair
 (a, b) follows from alternating unitary polar factors (closed form at d=2,
 SVD at d >= 3).  The sweep increases the objective monotonically and
-converges to machine precision near an exact word.  Restarts sweep in
-lockstep as one stack, each with its own stopping rule; a sweep builds the
+converges to machine precision near an exact word.  The restarts of both
+direction patterns of a box count sweep in lockstep as one stack, each with
+its own box slots and stopping rule; a sweep builds the
 suffix environments once and carries the prefix forward (O(n) products),
 forming a (x) b by broadcasting, not ``np.kron``.
 """
@@ -136,13 +137,14 @@ def _polar(g):
 
 def _sweep_layers(a, b, boxes, target, d):
     """One cyclic pass of layer updates on the (R, n+1, d, d) factor stacks
-    ``a``, ``b`` (in place); returns the (R, d*d, d*d) words."""
-    count, n, dim = len(a), len(boxes), d * d
+    ``a``, ``b`` (in place), each row with its own (n, d*d, d*d) box slots in
+    ``boxes`` (R, n, d*d, d*d); returns the (R, d*d, d*d) words."""
+    count, n, dim = len(a), boxes.shape[1], d * d
     # right[k] = T^dag L_n Q_{n-1} ... L_{k+1} Q_k; for the prefix P before layer
     # k and G = P right[k], tr(T^dag W) = tr(G L_k) = sum e[ik,jl] a[i,k] b[j,l]
     right = [np.broadcast_to(target.conj().T, (count, dim, dim))]
     for k in range(n - 1, -1, -1):
-        right.insert(0, right[0] @ _kron(a[:, k + 1], b[:, k + 1]) @ boxes[k])
+        right.insert(0, right[0] @ _kron(a[:, k + 1], b[:, k + 1]) @ boxes[:, k])
     prefix = np.eye(dim, dtype=complex)
     for idx in range(n + 1):
         e = (prefix @ right[idx]).reshape(count, d, d, d, d)
@@ -161,7 +163,7 @@ def _sweep_layers(a, b, boxes, target, d):
         a[:, idx], b[:, idx] = la, lb
         prefix = _kron(la, lb) @ prefix
         if idx < n:
-            prefix = boxes[idx] @ prefix
+            prefix = boxes[:, idx] @ prefix
     return prefix
 
 
@@ -171,9 +173,10 @@ def compile_word(q, target, max_boxes, tol=DEFAULT_TOLERANCES, seed=0):
 
     Iterative deepening on the box count n; at each n the all-forward
     pattern, then the one with its last use reversed, gets ``_RESTARTS``
-    seeded starts of the n+1 local layers, polar-swept in lockstep.  The
-    first restart in order whose phase distance to the target is within the
-    compile tolerance gives the word.
+    seeded starts of the n+1 local layers, and the starts of both patterns
+    are polar-swept in lockstep as one stack.  The first restart in order
+    (all-forward before reversed) whose phase distance to the target is
+    within the compile tolerance gives the word.
 
     Raises
     ------
@@ -193,37 +196,45 @@ def compile_word(q, target, max_boxes, tol=DEFAULT_TOLERANCES, seed=0):
     mq = q.matrix
     best_err, best_word = np.inf, None
     for n in range(1, max_boxes + 1):
-        for p_idx, pattern in enumerate(_direction_patterns(n)):
-            boxes = np.array([mq if direction == FORWARD else mq.conj().T
-                              for direction in pattern])
+        patterns = _direction_patterns(n)
+        starts, boxes = [], []
+        for p_idx, pattern in enumerate(patterns):
             # restart r > 0 starts layer k at the draws seeded base + 2 (r + k) (+ 1)
             base = (seed * 1_000_003 + n * 10_007 + p_idx * 101) * 2
             draws = np.array([[random_unitary(d, base + 2 * j + side).matrix
                                for side in (0, 1)] for j in range(_RESTARTS + n)])
-            window = np.arange(_RESTARTS)[:, None] + np.arange(n + 1)
-            a, b = draws[window, 0], draws[window, 1]
-            a[:1] = b[:1] = np.eye(d)
-            err, prev = np.full(_RESTARTS, np.nan), np.full(_RESTARTS, -1.0)
-            live, first = np.arange(_RESTARTS), 0
-            for sweep in range(_SWEEPS):
-                la, lb = a[live], b[live]
-                w = _sweep_layers(la, lb, boxes, t_mat, d)
-                a[live], b[live] = la, lb
-                score = np.abs(np.einsum("ij,rij->r", t_mat.conj(), w))
-                done = (score - prev[live] < 1e-15) | (sweep == _SWEEPS - 1)
-                prev[live] = score
-                err[live[done]] = [phase_distance(w_r, t_mat) for w_r in w[done]]
-                live = live[~done]
-                # end once the first passing restart and all before it stopped
-                while first < _RESTARTS and err[first] > tol.compile:
-                    first += 1
-                if first == _RESTARTS or err[first] <= tol.compile:
-                    break
-            if first < _RESTARTS:
-                return _assemble_word(a[first], b[first], pattern, err[first])
-            for r in range(_RESTARTS):
-                if err[r] < best_err:
-                    best_err, best_word = err[r], _assemble_word(a[r], b[r], pattern, err[r])
+            starts.append(draws[np.arange(_RESTARTS)[:, None] + np.arange(n + 1)])
+            boxes += [[mq if direction == FORWARD else mq.conj().T
+                       for direction in pattern]] * _RESTARTS
+        # rows: pattern 0's restarts, then pattern 1's, swept as one stack;
+        # restart 0 of each pattern starts from identity layers
+        starts, boxes = np.concatenate(starts), np.array(boxes)
+        a, b = starts[:, :, 0], starts[:, :, 1]
+        a[::_RESTARTS] = b[::_RESTARTS] = np.eye(d)
+        rows = len(a)
+        err, prev = np.full(rows, np.nan), np.full(rows, -1.0)
+        live, first = np.arange(rows), 0
+        for sweep in range(_SWEEPS):
+            la, lb = a[live], b[live]
+            w = _sweep_layers(la, lb, boxes[live], t_mat, d)
+            a[live], b[live] = la, lb
+            score = np.abs(np.einsum("ij,rij->r", t_mat.conj(), w))
+            done = (score - prev[live] < 1e-15) | (sweep == _SWEEPS - 1)
+            prev[live] = score
+            err[live[done]] = [phase_distance(w_r, t_mat) for w_r in w[done]]
+            live = live[~done]
+            # end once the first passing restart and all before it stopped
+            while first < rows and err[first] > tol.compile:
+                first += 1
+            if first == rows or err[first] <= tol.compile:
+                break
+        if first < rows:
+            return _assemble_word(a[first], b[first], patterns[first // _RESTARTS],
+                                  err[first])
+        for r in range(rows):
+            if err[r] < best_err:
+                best_err, best_word = err[r], _assemble_word(
+                    a[r], b[r], patterns[r // _RESTARTS], err[r])
     raise CompileFailed(f"no word within tolerance at max_boxes={max_boxes}; "
                         f"best error {best_err:.3e}",
                         best_error=float(best_err), best_word=best_word)

@@ -16,13 +16,14 @@ Dispatch follows the locality classes of the pair:
   box directions, product input) is synthesized directly by seeded
   least-squares over the layer group, with residuals enforcing (a) a
   product state after every run on every entangling branch and (b)
-  orthogonal marginals for the measuring party.  The solver gets the exact
-  Jacobian of these residuals (layer derivatives by the Daleckii-Krein
-  formula, carried through the runs on d x d state matrices), not a
-  finite-difference one.  Synthesizing the flat list
-  instead of composing nested circuit wrappers keeps the per-run product
-  invariant checkable and true, which a literal expansion of compiled
-  words into runs would generically violate.
+  orthogonal marginals for the measuring party.  The seeded restarts of
+  each search shape run in lockstep through one Levenberg-Marquardt loop
+  on the exact Jacobian of these residuals (layer derivatives by the
+  Daleckii-Krein formula, carried through the runs on stacked d x d state
+  matrices); the first passing restart in order wins.  Synthesizing the
+  flat list instead of composing nested circuit wrappers keeps the per-run
+  product invariant checkable and true, which a literal expansion of
+  compiled words into runs would generically violate.
 * for both-entangling pairs the case label is still derived from the
   canonical-form dichotomy: compile the first box toward exp(i u1 (x) u2),
   evaluate the word on the second, and test whether the result is again of
@@ -34,7 +35,6 @@ Every returned protocol carries a freshly computed verifier certificate.
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .arc import _relative_spectrum
 from .compiler import compile_word, evaluate_word
@@ -54,6 +54,8 @@ from .verifier import outcome_probabilities, simulate, verify
 
 _SYNTH_DEPTHS = (1, 2, 3, 4, 5, 6, 8)
 _SYNTH_RESTARTS = 6
+_LM_ITERATIONS = 200
+_SYNTH_PASS = 1e-8      # max residual at which a restart is taken
 
 
 def _measurement_plan(out_u, out_v, dims, tol):
@@ -243,17 +245,17 @@ def _case_iii_label(u, v, tol, seed, max_boxes):
 
 class _SynthesisProblem:
     """Residuals of one synthesis shape (depth, directions, party) and their
-    exact Jacobian.
+    exact Jacobian, for a stack of parameter points at once.
 
     Parameters: (re, im) of Alice's and of Bob's unnormalized input, then
     per run the coordinates of H_A and H_B in ``hermitian_basis(d)``; the
     run's local layer is exp(i H_A) (x) exp(i H_B).  States stay d x d
     matrices S (amplitude of |i>|j> at S[i, j]), so a run maps S to
-    box @ vec(A S B^T) and no Kronecker product is formed.  Residuals, as
-    real then imaginary parts: the 2x2 minors of every post-run state on
-    each entangling branch (zero iff product), then the marginal-overlap
-    block of the measuring party (zero iff its final marginals are
-    orthogonal).
+    box @ vec(A S B^T) and no Kronecker product is formed; every array
+    carries a leading axis over the R points.  Residuals, as real then
+    imaginary parts: the 2x2 minors of every post-run state on each
+    entangling branch (zero iff product), then the marginal-overlap block of
+    the measuring party (zero iff its final marginals are orthogonal).
     """
 
     def __init__(self, d, mu, mv, chains, pattern, party):
@@ -270,117 +272,147 @@ class _SynthesisProblem:
         self.n_params = 4 * d + 2 * self.n * d * d
         n_minors = sum(chains) * self.n * len(self.minors[0])
         self.n_residuals = 2 * (n_minors + d * d)
-        self._point, self._eigh = None, None
 
-    def inputs(self, params):
-        """Normalized (alice, bob) inputs with their (2d, d) derivatives,
-        or None when an input is too short to normalize."""
-        d = self.d
-        out = []
-        for raw in (params[:2 * d], params[2 * d:4 * d]):
-            vec = raw[:d] + 1j * raw[d:]
-            norm = np.linalg.norm(vec)
-            if norm < 1e-6:
-                return None
-            vec = vec / norm
-            out.append((vec, (self.unit - np.outer(raw / norm, vec)) / norm))
-        return out
+    def inputs(self, x):
+        """Normalized (alice, bob) input stacks (R, d) with their (R, 2d, d)
+        derivatives, and the mask of rows whose inputs are both long enough
+        (norm >= 1e-6) to normalize."""
+        d, ok, out = self.d, np.ones(len(x), dtype=bool), []
+        for raw in (x[:, :2 * d], x[:, 2 * d:4 * d]):
+            norm = np.linalg.norm(raw, axis=1)
+            ok &= norm >= 1e-6
+            norm = np.where(norm >= 1e-6, norm, 1.0)[:, None]
+            vec = (raw[:, :d] + 1j * raw[:, d:]) / norm
+            dvec = self.unit - (raw / norm)[:, :, None] * vec[:, None, :]
+            out.append((vec, dvec / norm[:, :, None]))
+        return out, ok
 
-    def layers(self, params, derivative=False):
-        """Every run's layers exp(i H) as one (2n, d, d) stack (Alice's of run
-        r at 2r, Bob's at 2r + 1) and, with ``derivative``, their
-        (2n, d*d, d, d) derivatives along the basis, else None.  One stacked
-        eigendecomposition serves all of them, and that of the last point is
-        reused, so a Jacobian at the point of the preceding residual does not
-        redo it."""
-        if self._point is None or not np.array_equal(params, self._point):
-            h = np.tensordot(params[4 * self.d:].reshape(2 * self.n, -1), self.basis, axes=1)
-            self._eigh = np.linalg.eigh(h)
-            self._point = np.array(params, copy=True)
-        w, v = self._eigh
-        vh = v.conj().transpose(0, 2, 1)
-        ops = (v * np.exp(1j * w)[:, None, :]) @ vh
-        if not derivative:
-            return ops, None
+    def layers(self, x):
+        """Every run's layers exp(i H) as an (R, 2n, d, d) stack (Alice's of
+        run r at 2r, Bob's at 2r + 1) and their (R, 2n, d*d, d, d)
+        derivatives along the basis, from one stacked eigendecomposition."""
+        h = np.tensordot(x[:, 4 * self.d:].reshape(len(x), 2 * self.n, -1),
+                         self.basis, axes=1)
+        w, v = np.linalg.eigh(h)
+        vh = v.conj().swapaxes(-1, -2)
+        ops = (v * np.exp(1j * w)[..., None, :]) @ vh
         # Daleckii-Krein: d exp(iH)[E] = V ((V^dag E V) o G) V^dag, G the
         # divided differences of e^{iw}, written to stay exact at ties
-        w_i, w_j = w[:, :, None], w[:, None, :]
+        w_i, w_j = w[..., :, None], w[..., None, :]
         g = 1j * np.exp(0.5j * (w_i + w_j)) * np.sinc(0.5 * (w_i - w_j) / np.pi)
-        v, vh = v[:, None], vh[:, None]
-        return ops, v @ ((vh @ self.basis @ v) * g[:, None]) @ vh
+        v, vh = v[:, :, None], vh[:, :, None]
+        return ops, v @ ((vh @ self.basis @ v) * g[:, :, None]) @ vh
 
     def _minors(self, s, ds):
-        s, i_j, k_l, i_l, k_j = s.reshape(-1), *self.minors
-        z = s[i_j] * s[k_l] - s[i_l] * s[k_j]
-        if ds is None:
-            return z, None
-        ds = ds.reshape(ds.shape[0], -1)
-        dz = (ds[:, i_j] * s[k_l] + s[i_j] * ds[:, k_l]
-              - ds[:, i_l] * s[k_j] - s[i_l] * ds[:, k_j])
-        return z, dz
+        """Minors (R, m) of (R, d, d) states and their (R, P, m) derivatives."""
+        i_j, k_l, i_l, k_j = self.minors
+        s, ds = s.reshape(len(s), 1, -1), ds.reshape(*ds.shape[:2], -1)
+        z = s[..., i_j] * s[..., k_l] - s[..., i_l] * s[..., k_j]
+        dz = (ds[..., i_j] * s[..., k_l] + s[..., i_j] * ds[..., k_l]
+              - ds[..., i_l] * s[..., k_j] - s[..., i_l] * ds[..., k_j])
+        return z[:, 0], dz
 
-    def _evaluate(self, params, jacobian):
-        """Complex residuals z and, with ``jacobian``, dz as (n_params, len z)."""
-        d, n_h, n_p = self.d, self.d * self.d, self.n_params
-        inputs = self.inputs(params)
-        if inputs is None:
-            return None, None
-        (a, da), (b, db) = inputs
-        ops, dops = self.layers(params, jacobian)
+    def evaluate(self, x):
+        """Residuals (R, n_residuals) and Jacobians (R, n_residuals,
+        n_params) at the rows of x (R, n_params).  A row whose input is too
+        short to normalize gets residuals 1e3 and a zero Jacobian."""
+        d, n_h, n_p, count = self.d, self.d * self.d, self.n_params, len(x)
+        ((a, da), (b, db)), ok = self.inputs(x)
+        ops, dops = self.layers(x)
         parts, dparts, finals = [], [], []
         for chain, boxes in zip(self.chains, self.boxes):
-            s, ds = np.outer(a, b), None
-            if jacobian:
-                ds = np.zeros((n_p, d, d), dtype=complex)
-                ds[:2 * d] = da[:, :, None] * b
-                ds[2 * d:4 * d] = a[:, None] * db[:, None, :]
+            s = a[:, :, None] * b[:, None, :]
+            ds = np.zeros((count, n_p, d, d), dtype=complex)
+            ds[:, :2 * d] = da[..., None] * b[:, None, None, :]
+            ds[:, 2 * d:4 * d] = a[:, None, :, None] * db[:, :, None, :]
             for r, box in enumerate(boxes):
-                la, lb = ops[2 * r], ops[2 * r + 1]
-                sb = s @ lb.T
-                if jacobian:
-                    dla, dlb = dops[2 * r], dops[2 * r + 1]
-                    dt = la @ ds @ lb.T
-                    off = 4 * d + 2 * r * n_h
-                    dt[off:off + n_h] += dla @ sb
-                    dt[off + n_h:off + 2 * n_h] += (la @ s) @ dlb.transpose(0, 2, 1)
-                    ds = (dt.reshape(n_p, n_h) @ box.T).reshape(n_p, d, d)
-                s = (box @ (la @ sb).reshape(-1)).reshape(d, d)
+                la, lbt = ops[:, 2 * r], ops[:, 2 * r + 1].swapaxes(1, 2)
+                dla, dlbt = dops[:, 2 * r], dops[:, 2 * r + 1].swapaxes(2, 3)
+                sb = s @ lbt
+                dt = la[:, None] @ ds @ lbt[:, None]
+                off = 4 * d + 2 * r * n_h
+                dt[:, off:off + n_h] += dla @ sb[:, None]
+                dt[:, off + n_h:off + 2 * n_h] += (la @ s)[:, None] @ dlbt
+                ds = (dt.reshape(count, n_p, n_h) @ box.T).reshape(count, n_p, d, d)
+                s = ((la @ sb).reshape(count, n_h) @ box.T).reshape(count, d, d)
                 if chain:
                     z, dz = self._minors(s, ds)
                     parts.append(z)
                     dparts.append(dz)
             finals.append((s, ds))
         (m_u, dm_u), (m_v, dm_v) = finals
-        if self.party == ALICE:
-            parts.append((m_v.conj().T @ m_u).reshape(-1))   # ~ <a_v|a_u> outer(b)
-            if jacobian:
-                dparts.append((dm_v.conj().transpose(0, 2, 1) @ m_u
-                               + m_v.conj().T @ dm_u).reshape(n_p, -1))
-        else:
-            parts.append((m_v @ m_u.conj().T).reshape(-1))   # ~ <b_u|b_v>* outer(a)
-            if jacobian:
-                dparts.append((dm_v @ m_u.conj().T
-                               + m_v @ dm_u.conj().transpose(0, 2, 1)).reshape(n_p, -1))
-        z = np.concatenate(parts)
-        return z, (np.concatenate(dparts, axis=1) if jacobian else None)
-
-    def residual(self, params):
-        z, _ = self._evaluate(params, False)
-        if z is None:
-            return np.full(self.n_residuals, 1e3)
-        return np.concatenate([z.real, z.imag])
-
-    def jacobian(self, params):
-        _, dz = self._evaluate(params, True)
-        if dz is None:
-            return np.zeros((self.n_residuals, self.n_params))
-        return np.concatenate([dz.real, dz.imag], axis=1).T
+        if self.party == ALICE:                  # ~ <a_v|a_u> outer(b)
+            m_v_h = m_v.conj().swapaxes(1, 2)
+            z = m_v_h @ m_u
+            dz = dm_v.conj().swapaxes(2, 3) @ m_u[:, None] + m_v_h[:, None] @ dm_u
+        else:                                    # ~ <b_u|b_v>* outer(a)
+            m_u_h = m_u.conj().swapaxes(1, 2)
+            z = m_v @ m_u_h
+            dz = dm_v @ m_u_h[:, None] + m_v[:, None] @ dm_u.conj().swapaxes(2, 3)
+        z = np.concatenate(parts + [z.reshape(count, -1)], axis=1)
+        dz = np.concatenate(dparts + [dz.reshape(count, n_p, -1)], axis=2)
+        f = np.concatenate([z.real, z.imag], axis=1)
+        jac = np.concatenate([dz.real, dz.imag], axis=2).swapaxes(1, 2)
+        f[~ok], jac[~ok] = 1e3, 0.0
+        return f, jac
 
 
 def _direction_patterns(n):
     """Box directions tried at depth n: all forward, then alternating."""
     alternating = tuple(FORWARD if i % 2 == 0 else REVERSE for i in range(n))
     return [(FORWARD,) * n] + ([alternating] if n >= 2 else [])
+
+
+def _solve_lockstep(problem, x0):
+    """Levenberg-Marquardt on a stack of restarts x0 (R, n_params) of one
+    synthesis shape, in lockstep: one stacked evaluation and one batched
+    linear solve per iteration.
+
+    Damping is Marquardt-scaled (by the running maximum of diag(J^T J))
+    and follows Nielsen's update.  A row stops when max|f| <= 1e-15, when
+    an accepted step lowers its cost by a relative amount below 1e-9, when
+    its damping passes 1e10, or after ``_LM_ITERATIONS``.  The solve ends
+    once the first row with max|f| <= ``_SYNTH_PASS`` and every row before
+    it have stopped, so the first passing restart in order wins.  Returns
+    the rows' last points and their max|f|.
+    """
+    x = np.array(x0, dtype=float)
+    f, jac = problem.evaluate(x)
+    cost, err = 0.5 * np.sum(f * f, axis=1), np.abs(f).max(axis=1)
+    damping, nu = np.full(len(x), 1e-3), np.full(len(x), 2.0)
+    scale = np.full_like(x, 1e-12)
+    live, first = err > 1e-15, 0
+    diag = np.arange(x.shape[1])
+    for _ in range(_LM_ITERATIONS):
+        while first < len(x) and not live[first] and err[first] > _SYNTH_PASS:
+            first += 1
+        if first == len(x) or not live[first]:
+            break
+        rows = np.flatnonzero(live)
+        j, g = jac[rows], np.einsum("rij,ri->rj", jac[rows], f[rows])
+        normal = j.swapaxes(1, 2) @ j
+        scale[rows] = np.maximum(scale[rows], normal[:, diag, diag])
+        damp = damping[rows, None] * scale[rows]
+        normal[:, diag, diag] += damp
+        step = -np.linalg.solve(normal, g[..., None])[..., 0]
+        f_new, jac_new = problem.evaluate(x[rows] + step)
+        cost_new = 0.5 * np.sum(f_new * f_new, axis=1)
+        gain = cost[rows] - cost_new
+        predicted = 0.5 * np.sum(step * (damp * step - g), axis=1)
+        ok = (gain > 0) & (predicted > 0)
+        rho = gain[ok] / predicted[ok]
+        took = rows[ok]
+        live[took[gain[ok] < 1e-9 * cost[took]]] = False
+        x[took] += step[ok]
+        f[took], jac[took] = f_new[ok], jac_new[ok]
+        cost[took] = cost_new[ok]
+        err[took] = np.abs(f_new[ok]).max(axis=1)
+        damping[took] *= np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3)
+        nu[took] = 2.0
+        damping[rows[~ok]] *= nu[rows[~ok]]
+        nu[rows[~ok]] *= 2.0
+        live &= (err > 1e-15) & (damping <= 1e10)
+    return x, err
 
 
 def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
@@ -408,24 +440,19 @@ def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
             for party in (ALICE, BOB):
                 problem = _SynthesisProblem(d, u.matrix, v.matrix, chains,
                                             pattern, party)
-                for restart in range(_SYNTH_RESTARTS):
-                    p0 = rng.standard_normal(problem.n_params)
-                    if ruled_out:
-                        continue
-                    res = scipy.optimize.least_squares(
-                        problem.residual, p0, jac=problem.jacobian,
-                        method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                        max_nfev=260)
-                    err = float(np.max(np.abs(res.fun)))
-                    best = min(best, err)
-                    if err > 1e-8:
-                        continue
-                    (a_vec, _), (b_vec, _) = problem.inputs(res.x)
-                    ops, _ = problem.layers(res.x)
-                    runs = [Run(ops[2 * r], ops[2 * r + 1], box)
-                            for r, box in enumerate(pattern)]
-                    proto = _finalize(label, runs, PureState(a_vec, (d,)),
-                                      PureState(b_vec, (d,)), u, v, tol,
+                # the same stream as one standard_normal(n_params) per restart
+                x0 = rng.standard_normal((_SYNTH_RESTARTS, problem.n_params))
+                if ruled_out:
+                    continue
+                x, err = _solve_lockstep(problem, x0)
+                best = min(best, err.min())
+                for r in np.flatnonzero(err <= _SYNTH_PASS):
+                    ((a_vec, _), (b_vec, _)), _ = problem.inputs(x[r:r + 1])
+                    ops = problem.layers(x[r:r + 1])[0][0]
+                    runs = [Run(ops[2 * k], ops[2 * k + 1], box)
+                            for k, box in enumerate(pattern)]
+                    proto = _finalize(label, runs, PureState(a_vec[0], (d,)),
+                                      PureState(b_vec[0], (d,)), u, v, tol,
                                       notes=notes)
                     if proto.certificate.passed:
                         return proto

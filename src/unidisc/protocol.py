@@ -56,9 +56,8 @@ class MeasurementPlan:
     """Single-party projective measurement deciding the hypothesis.
 
     ``basis`` holds orthonormal columns for the measuring party's space; the
-    decision rule maps outcome index 0/1 to a hypothesis and every other
-    outcome to the second hypothesis (outcomes beyond the first two never
-    occur for the two certified branches).
+    decision rule maps outcome indices to "U" or "V", and an outcome it does
+    not name decides "V".
     """
 
     party: str
@@ -73,6 +72,8 @@ class MeasurementPlan:
         if np.linalg.norm(gram - np.eye(b.shape[1]), ord="fro") > 1e-10:
             raise ValidationError("measurement basis is not orthonormal within 1e-10")
         object.__setattr__(self, "basis", b)
+        if any(h not in ("U", "V") for h in self.decision.values()):
+            raise ValidationError("decision values must be 'U' or 'V'")
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,11 @@ class VerificationReport:
     ``passed`` is exactly: every local operation unitary within
     tol.unitarity, overlap <= tol, schmidt_second_max <= tol (orthogonality
     tolerance) and ``measurement_ok``, which holds when the basis is
-    complete, the plan names a party whose outputs separate and its outcome
-    probabilities name each hypothesis with certainty.  When a local
-    operation is not unitary nothing is simulated and the numeric fields
-    are NaN.
+    complete, the plan names a party whose outputs separate and only
+    outcomes of its basis, and U lands on the outcomes the decision map
+    sends to "U" and V on every other outcome, each with probability at
+    least 1 - tol.  When a local operation is not unitary nothing is
+    simulated and the numeric fields are NaN.
     """
 
     overlap: float
@@ -154,15 +155,14 @@ def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
     party = separating[0] if separating else min((ALICE, BOB), key=overlaps.get)
 
     dim = dims[0] if plan.party == ALICE else dims[1]
-    idx_u = next((k for k, h in plan.decision.items() if h == "U"), 0)
-    idx_v = next((k for k, h in plan.decision.items() if h == "V"), 1)
+    says_u = np.array([plan.decision.get(k) == "U" for k in range(dim)])
     measurement_ok = (plan.party == party and _all_unitary([plan.basis], dim, tol)
-                      and 0 <= idx_u < dim and 0 <= idx_v < dim)
+                      and set(plan.decision) <= set(range(dim)))
     if measurement_ok:
+        # U must land on the outcomes mapped to "U", V on all the others
         p_u, p_v = _probabilities(out_u, plan), _probabilities(out_v, plan)
-        measurement_ok = (abs(p_u[idx_u] - 1.0) <= tol.orthogonality
-                          and p_v[idx_u] <= tol.orthogonality
-                          and abs(p_v[idx_v] - 1.0) <= tol.orthogonality)
+        measurement_ok = (p_u[says_u].sum() >= 1.0 - tol.orthogonality
+                          and p_v[~says_u].sum() >= 1.0 - tol.orthogonality)
 
     passed = bool(overlap <= tol.orthogonality
                   and schmidt_max <= tol.orthogonality

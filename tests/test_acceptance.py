@@ -268,6 +268,19 @@ def test_criterion_07_end_to_end_families():
                f" in {elapsed:.0f}s", t0)
 
 
+def test_criterion_07_box_use_ceilings():
+    # ceilings on the total box uses of the synthesized families
+    artifacts = getattr(test_criterion_07_end_to_end_families, "artifacts", None)
+    if artifacts is None:
+        artifacts = _criterion7_protocols()[1]
+    names = list(_FAMILIES)
+    for name, ceiling in (("product-imprimitive", 29), ("imprimitive-imprimitive", 40)):
+        k = names.index(name)
+        family = [json.loads(a) for a in artifacts[20 * k:20 * (k + 1)]]
+        assert not any(a.get("failed") for a in family), name
+        assert sum(len(a["runs"]) for a in family) <= ceiling, name
+
+
 def test_criterion_08_identity_vs_other_entry():
     t0 = time.time()
     makers = [lambda s: product_operator(2, s + 31),

@@ -201,7 +201,8 @@ def test_cli_verify_roundtrip(opfiles, tmp_path, capsys):
     assert "matches" in text
 
 
-@pytest.mark.parametrize("corruption", ["flipped_decision", "wrong_party"])
+@pytest.mark.parametrize("corruption", ["flipped_decision", "wrong_party",
+                                        "all_u_decision", "empty_decision"])
 def test_cli_verify_fails_bad_measurement_plan(opfiles, tmp_path, capsys,
                                                corruption):
     out = tmp_path / "proto.json"
@@ -212,12 +213,28 @@ def test_cli_verify_fails_bad_measurement_plan(opfiles, tmp_path, capsys,
     assert meas["party"] == "Alice"
     if corruption == "flipped_decision":
         meas["decision"] = {"0": "V", "1": "U"}
+    elif corruption == "all_u_decision":
+        meas["decision"] = {"0": "U", "1": "U"}     # no outcome decides V
+    elif corruption == "empty_decision":
+        meas["decision"] = {}                       # no outcome decides U
     else:
         meas["party"] = "Bob"
     out.write_text(json.dumps(data))
     code = main(["verify", str(out), opfiles["szI"], opfiles["identity"]])
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_verify_rejects_unknown_decision_value(opfiles, tmp_path, capsys):
+    out = tmp_path / "proto.json"
+    assert main(["discriminate", "--mode", "locc", opfiles["szI"],
+                 opfiles["identity"], "--out", str(out), "--quiet"]) == 0
+    data = json.loads(out.read_text())
+    data["measurement"]["decision"] = {"0": "U", "1": "W"}
+    out.write_text(json.dumps(data))
+    code = main(["verify", str(out), opfiles["szI"], opfiles["identity"]])
+    assert code == 1
+    assert "ValidationError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("corruption", ["scaled_1e-6", "scaled_2", "zero_layer",

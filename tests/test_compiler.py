@@ -10,9 +10,10 @@ from unidisc.core import UnitaryOperator, phase_distance, random_unitary
 from unidisc.exceptions import CompileFailed, ValidationError
 from unidisc.locality import (PRODUCT_LOCAL, canonical_xx_matrix,
                               canonical_xx_operator, classify)
+from unidisc.protocol import FORWARD, REVERSE
 
-from conftest import (HAD, SX, SZ, CZ_MAT, haar_two_qudit, product_operator,
-                      swap_type_operator)
+from conftest import (CNOT_MAT, HAD, SX, SZ, CZ_MAT, haar_two_qudit,
+                      product_operator, swap_type_operator)
 
 
 def controlled_form_matrix(d):
@@ -237,7 +238,10 @@ def _reference_sweep(layers, boxes, target, d):
 @pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (3, 2)])
 def test_stacked_sweep_matches_single_restart_reference(d, n):
     q = haar_two_qudit(d, 40 + n).matrix
-    boxes = np.array([q if k % 2 == 0 else q.conj().T for k in range(n)])
+    # rows alternate between two box-slot patterns, as compile_word stacks them
+    slots = [[q if k % 2 == 0 else q.conj().T for k in range(n)],
+             [q] * (n - 1) + [q.conj().T]]
+    boxes = np.array([slots[r % 2] for r in range(4)])
     target = canonical_xx_matrix(d, 1.0)
     count = 4
     a = np.array([[random_unitary(d, 100 * r + 2 * k).matrix for k in range(n + 1)]
@@ -250,7 +254,7 @@ def test_stacked_sweep_matches_single_restart_reference(d, n):
     for _ in range(3):
         w = _sweep_layers(a, b, boxes, target, d)
         for r in range(count):
-            w_ref = _reference_sweep(reference[r], boxes, target, d)
+            w_ref = _reference_sweep(reference[r], boxes[r], target, d)
             assert np.abs(w[r] - w_ref).max() < 1e-10
             for k in range(n + 1):
                 assert np.abs(a[r, k] - reference[r][k][0]).max() < 1e-10
@@ -267,3 +271,26 @@ def test_compile_determinism(cnot):
             assert np.array_equal(i1.b, i2.b)
         else:
             assert i1.direction == i2.direction
+
+
+def _local(seed):
+    return np.kron(random_unitary(2, seed).matrix, random_unitary(2, seed + 1).matrix)
+
+
+def test_compile_word_takes_the_forward_word_when_both_patterns_reach(cnot):
+    # CNOT is its own inverse, so both one-box patterns reach CNOT (each with
+    # its identity-started restart) and L1 CNOT L0; pattern 0's restarts
+    # come first in the stack
+    for target in (CNOT_MAT, _local(70) @ CNOT_MAT @ _local(72)):
+        word = compile_word(cnot, target, max_boxes=1)
+        assert word.directions == [FORWARD]
+        assert phase_distance(evaluate_word(word, cnot).matrix, target) <= 1e-8
+
+
+def test_compile_word_takes_the_reversed_word_when_only_it_reaches():
+    # a Haar gate is not locally equivalent to its inverse, so only the
+    # reversed pattern reaches q^dag, from its identity-started restart
+    q = haar_two_qudit(2, 71)
+    word = compile_word(q, q.matrix.conj().T, max_boxes=1)
+    assert word.directions == [REVERSE]
+    assert phase_distance(evaluate_word(word, q).matrix, q.matrix.conj().T) <= 1e-8

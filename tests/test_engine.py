@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.optimize
-from scipy.optimize._numdiff import approx_derivative
 
 import unidisc.engine
 from unidisc.arc import theta
 from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, basis_state,
                           identity_operator, random_unitary, tensor)
 from unidisc.engine import (_case_iii_label, _direction_patterns,
-                            _SynthesisProblem, _wrap_rotation, build_protocol,
-                            identify, identity_vs_other, multi_discriminate)
+                            _solve_lockstep, _SynthesisProblem, _wrap_rotation,
+                            build_protocol, identify, identity_vs_other,
+                            multi_discriminate)
 from unidisc.exceptions import OperatorsEqual, ValidationError
 from unidisc.io import dumps_artifact, protocol_to_json
 from unidisc.locality import canonical_xx_operator, conjugation_set, \
@@ -178,6 +177,15 @@ def test_factorized_orthogonality_and_box_accounting():
     assert report.box_uses == len(proto.runs) == proto.box_uses
 
 
+def _central_differences(problem, x, h=1e-5):
+    """Central-difference Jacobian (n_residuals, n_params) at the point x,
+    from one stacked evaluation of the 2 n_params shifted points."""
+    shifts = h * np.eye(len(x))
+    f, _ = problem.evaluate(np.concatenate([x + shifts, x - shifts]))
+    plus, minus = np.split(f, 2)
+    return ((plus - minus) / (2 * h)).T
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("case", ["IIA", "IIIA"])
 def test_synthesis_jacobian_matches_central_differences(d, case):
@@ -193,13 +201,13 @@ def test_synthesis_jacobian_matches_central_differences(d, case):
             for party in (ALICE, BOB):
                 problem = _SynthesisProblem(d, u.matrix, v.matrix, chains,
                                             pattern, party)
-                x = rng.standard_normal(problem.n_params)
-                exact = problem.jacobian(x)
-                numeric = approx_derivative(problem.residual, x,
-                                            method="3-point")
-                assert exact.shape == (problem.n_residuals, problem.n_params)
-                err = np.abs(exact - numeric).max() / np.abs(numeric).max()
-                assert err <= 1e-6, (n, pattern, party, err)
+                x = rng.standard_normal((3, problem.n_params))
+                _, exact = problem.evaluate(x)
+                assert exact.shape == (3, problem.n_residuals, problem.n_params)
+                for row, jac in zip(x, exact):
+                    numeric = _central_differences(problem, row)
+                    err = np.abs(jac - numeric).max() / np.abs(numeric).max()
+                    assert err <= 1e-6, (n, pattern, party, err)
 
 
 def _reference_residual(d, mu, mv, chains, pattern, party, x):
@@ -260,11 +268,24 @@ def test_synthesis_residual_matches_its_definition(d, case):
             for party in (ALICE, BOB):
                 args = (d, u.matrix, v.matrix, chains, pattern, party)
                 problem = _SynthesisProblem(*args)
-                x = rng.standard_normal(problem.n_params)
-                got = problem.residual(x)
-                assert got.shape == (problem.n_residuals,)
-                err = np.abs(got - _reference_residual(*args, x)).max()
-                assert err <= 1e-12, (n, pattern, party, err)
+                x = rng.standard_normal((3, problem.n_params))
+                got, _ = problem.evaluate(x)
+                assert got.shape == (3, problem.n_residuals)
+                for row, res in zip(x, got):
+                    err = np.abs(res - _reference_residual(*args, row)).max()
+                    assert err <= 1e-12, (n, pattern, party, err)
+
+
+def test_synthesis_rows_with_a_vanishing_input_are_never_chosen():
+    u, v = product_operator(2, 1), haar_two_qudit(2, 10001)
+    problem = _SynthesisProblem(2, u.matrix, v.matrix, (False, True),
+                                (FORWARD,), ALICE)
+    x0 = np.random.default_rng(0).standard_normal((3, problem.n_params))
+    x0[1, :4] = 1e-7                       # Alice's input norm 2e-7 < 1e-6
+    f, jac = problem.evaluate(x0)
+    assert np.all(f[1] == 1e3) and not jac[1].any()
+    _, err = _solve_lockstep(problem, x0)
+    assert err[1] == 1e3
 
 
 def test_synthesis_runs_no_solve_at_depths_the_arc_bound_rules_out(monkeypatch):
@@ -272,13 +293,13 @@ def test_synthesis_runs_no_solve_at_depths_the_arc_bound_rules_out(monkeypatch):
     # cos(Theta / 2) = 0.077; depth 1 gets its draws but no solve
     u, v = haar_two_qudit(2, 11001), haar_two_qudit(2, 12001)
     assert 2.98 < theta(UnitaryOperator(u.matrix.conj().T @ v.matrix, (2, 2))).theta < 2.99
-    solve, depths = scipy.optimize.least_squares, []
+    solve, depths = unidisc.engine._solve_lockstep, []
 
-    def counting(fun, x0, **kwargs):
-        depths.append((len(x0) - 8) // 8)          # n_params = 4d + 2 n d^2
-        return solve(fun, x0, **kwargs)
+    def counting(problem, x0):
+        depths.extend([problem.n] * len(x0))      # one entry per restart row
+        return solve(problem, x0)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", counting)
+    monkeypatch.setattr(unidisc.engine, "_solve_lockstep", counting)
     skipped = dumps_artifact(protocol_to_json(build_protocol(u, v), seed=0))
     assert depths and 1 not in depths
     # an arc of 2 pi rules out no depth: the same draws give the same bytes
@@ -290,21 +311,25 @@ def test_synthesis_runs_no_solve_at_depths_the_arc_bound_rules_out(monkeypatch):
     assert depths.count(1) == 2 * 6                # 2 parties x 6 restarts
 
 
-def test_synthesis_jacobian_after_residual_reuses_layers_exactly():
-    # least_squares asks for the Jacobian at the point of its last residual;
-    # reusing that point's eigendecompositions must not change a bit
-    u, v = haar_two_qudit(2, 11001), haar_two_qudit(2, 12001)
-    args = (2, u.matrix, v.matrix, (True, True), (FORWARD, REVERSE), BOB)
-    rng = np.random.default_rng(5)
-    x, y = rng.standard_normal((2, _SynthesisProblem(*args).n_params))
-    want_res = _SynthesisProblem(*args).residual(x)
-    want_jac = _SynthesisProblem(*args).jacobian(x)
-    problem = _SynthesisProblem(*args)
-    assert np.array_equal(problem.residual(x), want_res)
-    assert np.array_equal(problem.jacobian(x), want_jac)
-    problem.residual(y)
-    assert np.array_equal(problem.jacobian(x), want_jac)
-    assert np.array_equal(problem.residual(x), want_res)
+_WORKLOAD_PAIRS = {
+    "IIA": lambda d, s: (product_operator(d, 2 * s + 1),
+                         haar_two_qudit(d, 2 * s + 10001)),
+    "IIB": lambda d, s: (swap_type_operator(d, 2 * s + 1),
+                         haar_two_qudit(d, 2 * s + 10001)),
+    "IIIA": lambda d, s: (haar_two_qudit(d, 2 * s + 11001),
+                          haar_two_qudit(d, 2 * s + 12001)),
+}
+
+
+@pytest.mark.parametrize("case, d, s, ceiling", [
+    ("IIA", 2, 0, 1), ("IIA", 2, 1, 1), ("IIB", 2, 0, 1), ("IIB", 2, 1, 2),
+    ("IIIA", 2, 0, 2), ("IIIA", 2, 1, 2), ("IIA", 3, 0, 2), ("IIA", 3, 1, 2)])
+def test_entangling_benchmark_pairs_keep_their_box_uses(case, d, s, ceiling):
+    # the pairs of the benchmark's entangling workload, build seed s
+    u, v = _WORKLOAD_PAIRS[case](d, s)
+    proto = build_protocol(u, v, seed=s)
+    assert proto.case_label == case and proto.certificate.passed
+    assert proto.box_uses <= ceiling
 
 
 @pytest.mark.parametrize("s", range(4))

@@ -1,11 +1,14 @@
-"""Property sweep over the closed-form cases IA, IB and IC at d = 2..4.
+"""Property sweeps over the closed-form cases IA, IB and IC at d = 2..4
+and the synthesized cases IIA and IIB at d = 2.
 
-Every drawn pair must give a protocol that the benchmark's numpy-only
-checker (``bench/checker.py``, which shares no code with the verifier)
-accepts, with the box count the case promises: ceil(pi / Theta(T)) for IA
-and 2 ceil(pi / min(2 Theta(T), pi)) for IC, T the relative operator of the
-differing factors.  The examples are derandomized, so the sweep is the same
-on every run.
+Every drawn closed-form pair must give a protocol that the benchmark's
+numpy-only checker (``bench/checker.py``, which shares no code with the
+verifier) accepts, with the box count the case promises: ceil(pi / Theta(T))
+for IA and 2 ceil(pi / min(2 Theta(T), pi)) for IC, T the relative operator
+of the differing factors.  Every drawn IIA or IIB pair must give a protocol
+the checker accepts or an honest SynthesisFailed / CompileFailed that
+carries its best error.  The examples are derandomized, so the sweeps are
+the same on every run.
 """
 
 import importlib.util
@@ -19,10 +22,10 @@ from hypothesis import strategies as st
 
 from unidisc.core import UnitaryOperator, random_unitary
 from unidisc.engine import build_protocol
-from unidisc.exceptions import OperatorsEqual
+from unidisc.exceptions import CompileFailed, OperatorsEqual, SynthesisFailed
 from unidisc.io import dumps_artifact, protocol_to_json
 from unidisc.locality import swap_operator
-from unidisc.protocol import CASE_IA, CASE_IB, CASE_IC
+from unidisc.protocol import CASE_IA, CASE_IB, CASE_IC, CASE_IIA, CASE_IIB
 
 CHECKER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "checker.py")
 
@@ -128,3 +131,36 @@ def test_closed_form_cases_do_not_read_the_seed(case, pair):
         assert proto.case_label == case
         artifacts.append(dumps_artifact(protocol_to_json(proto)))
     assert artifacts[0] == artifacts[1]
+
+
+@st.composite
+def entangling_pairs(draw):
+    """(case, u, v, seed, max_boxes): a product (IIA) or swap-type (IIB)
+    gate and a Haar gate at d=2, in drawn order, with a build seed and a
+    box budget of 1 or 2."""
+    case = draw(st.sampled_from([CASE_IIA, CASE_IIB]))
+    seed = draw(st.integers(0, 2 ** 20))
+    local = np.kron(random_unitary(2, seed).matrix, random_unitary(2, seed + 1).matrix)
+    if case == CASE_IIB:
+        local = local @ swap_operator(2).matrix
+    pair = [UnitaryOperator(m, (2, 2))
+            for m in (local, random_unitary(4, seed + 2).matrix)]
+    u, v = pair if draw(st.booleans()) else pair[::-1]
+    return case, u, v, draw(st.integers(0, 50)), draw(st.integers(1, 2))
+
+
+@settings(SWEEP, max_examples=40)
+@given(entangling_pairs())
+def test_entangling_pairs_pass_the_checker_or_fail_honestly(drawn):
+    case, u, v, seed, max_boxes = drawn
+    try:
+        proto = build_protocol(u, v, seed=seed, max_boxes=max_boxes)
+    except SynthesisFailed as exc:
+        assert exc.best_overlap is not None
+        return
+    except CompileFailed as exc:
+        assert exc.best_error is not None and exc.best_error > 0
+        return
+    assert proto.case_label == case
+    assert proto.certificate.passed and proto.box_uses <= max_boxes
+    assert checker.check_protocol(proto, u.matrix, v.matrix) == []

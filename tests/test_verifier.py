@@ -6,7 +6,7 @@ import pytest
 from unidisc.core import UnitaryOperator, basis_state, identity_operator, \
     random_unitary, state
 from unidisc.engine import _SynthesisProblem, build_protocol
-from unidisc.exceptions import DimensionMismatch
+from unidisc.exceptions import DimensionMismatch, ValidationError
 from unidisc.locality import swap_operator
 from unidisc.protocol import (ALICE, BOB, FORWARD, REVERSE, LoccProtocol,
                               MeasurementPlan, Run)
@@ -126,6 +126,29 @@ def test_verify_fails_flipped_decision_and_wrong_party(eye4):
         assert report.summary().startswith("FAIL")
 
 
+@pytest.mark.parametrize("decision", [{0: "U", 1: "U"}, {}, {1: "V"}])
+def test_verify_fails_decision_that_does_not_name_both_hypotheses(eye4, decision):
+    sz_i = UnitaryOperator(np.kron(SZ, np.eye(2)), (2, 2))
+    proto = build_protocol(sz_i, eye4)
+    plan = proto.measurement
+    report = verify(_with_plan(proto, MeasurementPlan(plan.party, plan.basis,
+                                                      decision)), sz_i, eye4)
+    assert not report.measurement_ok and not report.passed
+
+
+def test_verify_reads_unnamed_outcomes_as_v(eye4):
+    sz_i = UnitaryOperator(np.kron(SZ, np.eye(2)), (2, 2))
+    proto = build_protocol(sz_i, eye4)
+    plan = proto.measurement
+    assert verify(_with_plan(proto, MeasurementPlan(plan.party, plan.basis,
+                                                    {0: "U"})), sz_i, eye4).passed
+
+
+def test_measurement_plan_rejects_unknown_decision_value():
+    with pytest.raises(ValidationError, match="'U' or 'V'"):
+        MeasurementPlan(ALICE, np.eye(2), {0: "U", 1: "W"})
+
+
 def test_verify_accepts_plan_party_when_both_parties_separate():
     # identity vs swap on |0>|1>: outputs |0>|1> and |1>|0>, so both
     # parties' marginals are orthogonal and a Bob plan decides with certainty
@@ -202,13 +225,13 @@ def test_stacked_kernel_matches_kron_and_synthesis_kernels(d):
     problem = _SynthesisProblem(d, *boxes, (True, True), pattern, ALICE)
     seen = []
     minors = problem._minors
-    problem._minors = lambda s, ds: (seen.append(s.copy()), minors(s, ds))[1]
-    params = rng.normal(size=problem.n_params)
-    problem.residual(params)
-    (a, _), (b, _) = problem.inputs(params)
-    layers, _ = problem.layers(params)
+    problem._minors = lambda s, ds: (seen.append(s[0].copy()), minors(s, ds))[1]
+    params = rng.normal(size=(1, problem.n_params))
+    problem.evaluate(params)
+    ((a, _), (b, _)), _ = problem.inputs(params)
+    layers = problem.layers(params)[0][0]
     runs = [Run(layers[2 * r], layers[2 * r + 1], box) for r, box in enumerate(pattern)]
-    proto = _bare(runs, state(a, (d,)), state(b, (d,)))
+    proto = _bare(runs, state(a[0], (d,)), state(b[0], (d,)))
 
     states = _propagate(proto, boxes)
     assert states.shape == (len(pattern) + 1, 2, d, d)
