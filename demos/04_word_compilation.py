@@ -2,9 +2,9 @@
 
 Local layers interleaved with uses of one entangling gate Q (forward or
 reverse) can realize any two-qudit unitary.  The compiler searches box
-counts in increasing order and optimizes the layers by closed-form polar
-sweeps, returning the first word whose phase distance to the target meets
-tolerance.
+counts in increasing order and fits the layers by Levenberg-Marquardt
+least squares on the exact Jacobian, returning the first word whose phase
+distance to the target meets tolerance.
 """
 
 import numpy as np

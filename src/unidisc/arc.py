@@ -78,20 +78,6 @@ def theta(u, tol=DEFAULT_TOLERANCES):
     return SpectralArc(tuple(float(p) for p in reps), largest, theta_val)
 
 
-def arc_brute_force(phases):
-    """Exhaustive-search oracle for the arc length of explicit phases.
-
-    Tries every phase as the arc start and takes the smallest arc that
-    covers all phases.  O(m^2); used to cross-check :func:`theta`.
-    """
-    phases = np.mod(np.asarray(phases, dtype=float), TWO_PI)
-    best = TWO_PI
-    for start in phases:
-        span = np.max(np.mod(phases - start, TWO_PI))
-        best = min(best, span)
-    return float(best if phases.size > 1 else 0.0)
-
-
 def _relative_spectrum(u, v, tol):
     """(W, phases, vectors, theta) of W = U^dag V from one eigendecomposition.
 

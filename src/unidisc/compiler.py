@@ -7,31 +7,32 @@ A word looks like
 
 with every ``L_k = a_k (x) b_k`` a pair of single-qudit unitaries and each
 ``Q`` slot either the box or its inverse.  Compilation is iterative
-deepening on the box count; for each direction pattern the local layers are
-optimized by cyclic polar sweeps: with all layers but one frozen the
-objective |tr(T^dag W)| is linear in the free layer, and its optimal pair
-(a, b) follows from alternating unitary polar factors (closed form at d=2,
-SVD at d >= 3).  The sweep increases the objective monotonically and
-converges to machine precision near an exact word.  The restarts of both
-direction patterns of a box count sweep in lockstep as one stack, each with
-its own box slots and stopping rule; a sweep builds the
-suffix environments once and carries the prefix forward (O(n) products),
-forming a (x) b by broadcasting, not ``np.kron``.
+deepening on the box count.  For each direction pattern the layers
+exp(i H_A) (x) exp(i H_B) and a global phase phi are fitted to the target T
+by least squares on vec(W - e^{i phi} T): ``_RESTARTS`` seeded restarts run
+in lockstep through one Levenberg-Marquardt loop (:func:`_solve_lockstep`)
+on the exact Jacobian, which carries the layer derivatives of
+:func:`_layer_kernel` through prefix and suffix products of the word.  The
+engine's entangling synthesis runs on the same kernel and solver.
+
+At d=2 one box reaches T exactly when the box or its inverse is locally
+equivalent to T, which Makhlin's invariants decide in closed form.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOLERANCES, UnitaryOperator, phase_distance,
-                   random_unitary)
+from .core import (DEFAULT_TOLERANCES, UnitaryOperator, hermitian_basis,
+                   phase_distance)
 from .exceptions import CompileFailed, DimensionMismatch, ValidationError
+from .locality import makhlin_invariants
 from .protocol import FORWARD, REVERSE
 
-_SWEEPS = 80
-_INNER = 6
 _RESTARTS = 12
-_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_LM_ITERATIONS = 200
+_SYNTH_PASS = 1e-8      # max residual at which a restart is taken
+_ONE_BOX_GAP = 1e-3     # Makhlin-invariant gap above which one box cannot reach
 
 
 @dataclass(frozen=True)
@@ -109,62 +110,144 @@ def _direction_patterns(n):
     return [(FORWARD,) * n, (FORWARD,) * (n - 1) + (REVERSE,)]
 
 
-def _kron(a, b):
-    """a (x) b for stacks of d x d matrices, by broadcasting."""
-    r, d = a.shape[0], a.shape[-1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(r, d * d, d * d)
+def _layer_kernel(coords, basis):
+    """Layers exp(i H) of the Hermitian matrices with coordinates ``coords``
+    (R, 2m, d*d) in ``basis``, paired as Alice's at 2k and Bob's at 2k + 1,
+    from one stacked eigendecomposition.
 
-
-def _polar(g):
-    """Unitary polar factor u @ vh of every g = u s vh in an (R, d, d) stack.
-
-    At d=2 it is W = (g + e^{i arg det g} adj(g)^dag) / sqrt(|g|_F^2 + 2 |det g|),
-    which is also unitary (a valid polar factor) at rank 1; a zero g, where
-    every unitary is one, gets the identity.  d >= 3 takes the SVD.
+    Returns the layers (R, 2m, d, d), the Kronecker layer matrices
+    L_k = A_k (x) B_k (R, m, d*d, d*d) and their derivatives
+    (R, m, 2 d*d, d*d, d*d), along A_k's coordinates (dA (x) B) and then
+    B_k's (A (x) dB).
     """
-    if g.shape[-1] != 2:
-        u, _, vh = np.linalg.svd(g)
-        return u @ vh
-    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-    scale = np.sqrt(np.sum(g.real ** 2 + g.imag ** 2, axis=(1, 2)) + 2 * np.abs(det))
-    adj_dag = g[:, ::-1, ::-1].conj() * _ADJ_SIGNS      # adj(g)^dag
-    w = g + np.exp(1j * np.angle(det))[:, None, None] * adj_dag
-    if not scale.all():
-        zero = scale == 0
-        w[zero], scale[zero] = np.eye(2), 1.0
-    return w / scale[:, None, None]
+    h = np.tensordot(coords, basis, axes=1)
+    w, v = np.linalg.eigh(h)
+    vh = v.conj().swapaxes(-1, -2)
+    ops = (v * np.exp(1j * w)[..., None, :]) @ vh
+    # Daleckii-Krein: d exp(iH)[E] = V ((V^dag E V) o G) V^dag, G the
+    # divided differences of e^{iw}, written to stay exact at ties
+    w_i, w_j = w[..., :, None], w[..., None, :]
+    g = 1j * np.exp(0.5j * (w_i + w_j)) * np.sinc(0.5 * (w_i - w_j) / np.pi)
+    v, vh = v[:, :, None], vh[:, :, None]
+    dops = v @ ((vh @ basis @ v) * g[:, :, None]) @ vh
+    a, b, da, db = ops[:, 0::2], ops[:, 1::2], dops[:, 0::2], dops[:, 1::2]
+    dim = basis.shape[-1] ** 2
+
+    def kron(x, y):                 # x (x) y over stacks, by broadcasting
+        out = x[..., :, None, :, None] * y[..., None, :, None, :]
+        return out.reshape(out.shape[:-4] + (dim, dim))
+
+    dkron = np.concatenate([kron(da, b[:, :, None]), kron(a[:, :, None], db)], axis=2)
+    return ops, kron(a, b), dkron
 
 
-def _sweep_layers(a, b, boxes, target, d):
-    """One cyclic pass of layer updates on the (R, n+1, d, d) factor stacks
-    ``a``, ``b`` (in place), each row with its own (n, d*d, d*d) box slots in
-    ``boxes`` (R, n, d*d, d*d); returns the (R, d*d, d*d) words."""
-    count, n, dim = len(a), boxes.shape[1], d * d
-    # right[k] = T^dag L_n Q_{n-1} ... L_{k+1} Q_k; for the prefix P before layer
-    # k and G = P right[k], tr(T^dag W) = tr(G L_k) = sum e[ik,jl] a[i,k] b[j,l]
-    right = [np.broadcast_to(target.conj().T, (count, dim, dim))]
-    for k in range(n - 1, -1, -1):
-        right.insert(0, right[0] @ _kron(a[:, k + 1], b[:, k + 1]) @ boxes[:, k])
-    prefix = np.eye(dim, dtype=complex)
-    for idx in range(n + 1):
-        e = (prefix @ right[idx]).reshape(count, d, d, d, d)
-        e = e.transpose(0, 3, 1, 4, 2).reshape(count, dim, dim)  # e[ik,jl] = G[kl,ij]
-        la, lb, live = a[:, idx], b[:, idx], np.ones((count, 1, 1), dtype=bool)
-        for _ in range(_INNER):
-            # x = conj(u vh) maximizes Re tr(g^T x) over unitaries, for g = u s vh
-            a_new = _polar((e @ lb.reshape(count, dim, 1)).reshape(count, d, d)).conj()
-            b_new = _polar((a_new.reshape(count, 1, dim) @ e).reshape(count, d, d)).conj()
-            step = (np.linalg.norm(a_new - la, axis=(1, 2))
-                    + np.linalg.norm(b_new - lb, axis=(1, 2)))
-            la, lb = np.where(live, a_new, la), np.where(live, b_new, lb)
-            live &= (step >= 1e-14)[:, None, None]
-            if not live.any():
-                break
-        a[:, idx], b[:, idx] = la, lb
-        prefix = _kron(la, lb) @ prefix
-        if idx < n:
-            prefix = boxes[:, idx] @ prefix
-    return prefix
+def _solve_lockstep(problem, x0):
+    """Levenberg-Marquardt on a stack of restarts x0 (R, n_params) of one
+    problem (``problem.evaluate`` gives stacked residuals and Jacobians), in
+    lockstep: one stacked evaluation and one batched linear solve per
+    iteration.
+
+    Damping is Marquardt-scaled (by the running maximum of diag(J^T J))
+    and follows Nielsen's update.  A row stops when max|f| <= 1e-15, when
+    an accepted step lowers its cost by a relative amount below 1e-9, when
+    its damping passes 1e10, or after ``_LM_ITERATIONS``.  The solve ends
+    once the first row with max|f| <= ``_SYNTH_PASS`` and every row before
+    it have stopped, so the first passing restart in order wins.  Returns
+    the rows' last points and their max|f|.
+    """
+    x = np.array(x0, dtype=float)
+    f, jac = problem.evaluate(x)
+    cost, err = 0.5 * np.sum(f * f, axis=1), np.abs(f).max(axis=1)
+    damping, nu = np.full(len(x), 1e-3), np.full(len(x), 2.0)
+    scale = np.full_like(x, 1e-12)
+    live, first = err > 1e-15, 0
+    diag = np.arange(x.shape[1])
+    for _ in range(_LM_ITERATIONS):
+        while first < len(x) and not live[first] and err[first] > _SYNTH_PASS:
+            first += 1
+        if first == len(x) or not live[first]:
+            break
+        rows = np.flatnonzero(live)
+        j, g = jac[rows], np.einsum("rij,ri->rj", jac[rows], f[rows])
+        normal = j.swapaxes(1, 2) @ j
+        scale[rows] = np.maximum(scale[rows], normal[:, diag, diag])
+        damp = damping[rows, None] * scale[rows]
+        normal[:, diag, diag] += damp
+        step = -np.linalg.solve(normal, g[..., None])[..., 0]
+        f_new, jac_new = problem.evaluate(x[rows] + step)
+        cost_new = 0.5 * np.sum(f_new * f_new, axis=1)
+        gain = cost[rows] - cost_new
+        predicted = 0.5 * np.sum(step * (damp * step - g), axis=1)
+        ok = (gain > 0) & (predicted > 0)
+        rho = gain[ok] / predicted[ok]
+        took = rows[ok]
+        live[took[gain[ok] < 1e-9 * cost[took]]] = False
+        x[took] += step[ok]
+        f[took], jac[took] = f_new[ok], jac_new[ok]
+        cost[took] = cost_new[ok]
+        err[took] = np.abs(f_new[ok]).max(axis=1)
+        damping[took] *= np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3)
+        nu[took] = 2.0
+        damping[rows[~ok]] *= nu[rows[~ok]]
+        nu[rows[~ok]] *= 2.0
+        live &= (err > 1e-15) & (damping <= 1e10)
+    return x, err
+
+
+class _CompileProblem:
+    """Residuals vec(W - e^{i phi} T), real then imaginary parts, of the word
+    W = L_n Q_{n-1} ... Q_0 L_0 through the box slots ``boxes``, and their
+    exact Jacobian, for a stack of parameter points at once.
+
+    Parameters: per layer k the coordinates of H_A, then of H_B, in
+    ``hermitian_basis(d)`` (L_k = exp(i H_A) (x) exp(i H_B)), then phi.
+    Along layer k the word moves by S_k dL_k P_k, for the prefix
+    P_k = Q_{k-1} L_{k-1} ... Q_0 L_0 and the suffix S_k = L_n Q_{n-1} ...
+    L_{k+1} Q_k.
+    """
+
+    def __init__(self, d, boxes, target):
+        self.d, self.n, self.boxes, self.target = d, len(boxes), boxes, target
+        self.basis = hermitian_basis(d)
+        self.n_params = 2 * (self.n + 1) * d * d + 1
+
+    def layers(self, x):
+        """:func:`_layer_kernel` at the layer coordinates of the rows of x."""
+        return _layer_kernel(x[:, :-1].reshape(len(x), 2 * (self.n + 1), -1),
+                             self.basis)
+
+    def word(self, kron, dkron=None):
+        """Words W (R, D, D) from the layer matrices and, given their
+        derivatives ``dkron``, dW (R, n_params - 1, D, D)."""
+        prefix, suffix = [np.eye(len(self.target))], [np.eye(len(self.target))]
+        for k, box in enumerate(self.boxes):
+            prefix.append(box @ kron[:, k] @ prefix[-1])
+            suffix.insert(0, suffix[0] @ kron[:, self.n - k] @ self.boxes[-1 - k])
+        w = kron[:, -1] @ prefix[-1]
+        if dkron is None:
+            return w
+        dw = [suffix[k][..., None, :, :] @ dkron[:, k] @ prefix[k][..., None, :, :]
+              for k in range(self.n + 1)]
+        return w, np.concatenate(dw, axis=1)
+
+    def evaluate(self, x):
+        """Residuals (R, 2 D^2) and Jacobians (R, 2 D^2, n_params) at the
+        rows of x (R, n_params)."""
+        count, target = len(x), self.target.ravel()
+        _, kron, dkron = self.layers(x)
+        w, dw = self.word(kron, dkron)
+        phase = np.exp(1j * x[:, -1])[:, None]
+        z = w.reshape(count, -1) - phase * target
+        dz = np.concatenate([dw.reshape(count, self.n_params - 1, -1),
+                             (-1j * phase * target)[:, None]], axis=1)
+        f = np.concatenate([z.real, z.imag], axis=1)
+        jac = np.concatenate([dz.real, dz.imag], axis=2).swapaxes(1, 2)
+        return f, jac
+
+
+def _one_box_gap(box, target):
+    """Makhlin-invariant gap, zero iff L1 box L0 = T up to phase for some L0, L1."""
+    return float(np.abs(makhlin_invariants(box) - makhlin_invariants(target)).max())
 
 
 def compile_word(q, target, max_boxes, tol=DEFAULT_TOLERANCES, seed=0):
@@ -172,11 +255,12 @@ def compile_word(q, target, max_boxes, tol=DEFAULT_TOLERANCES, seed=0):
     or a UnitaryOperator) up to global phase.
 
     Iterative deepening on the box count n; at each n the all-forward
-    pattern, then the one with its last use reversed, gets ``_RESTARTS``
-    seeded starts of the n+1 local layers, and the starts of both patterns
-    are polar-swept in lockstep as one stack.  The first restart in order
-    (all-forward before reversed) whose phase distance to the target is
-    within the compile tolerance gives the word.
+    pattern, then the one with its last use reversed, gets one lockstep
+    solve of ``_RESTARTS`` starts (restart 0 at the identity layers, the
+    rest from ``default_rng([seed, n, pattern])``; phi = arg tr(T^dag W)).
+    The first restart in order within the compile tolerance gives the word.
+    At d=2, box count 1 is skipped when a larger one is in the budget and
+    both Makhlin-invariant gaps (of q and of q^dag) exceed ``_ONE_BOX_GAP``.
 
     Raises
     ------
@@ -194,54 +278,35 @@ def compile_word(q, target, max_boxes, tol=DEFAULT_TOLERANCES, seed=0):
         raise ValidationError("seed must be non-negative")
 
     mq = q.matrix
+    slots = {FORWARD: mq, REVERSE: mq.conj().T}
+    one_box_out = d == 2 and max_boxes > 1 and min(
+        _one_box_gap(mq, t_mat), _one_box_gap(slots[REVERSE], t_mat)) > _ONE_BOX_GAP
     best_err, best_word = np.inf, None
-    for n in range(1, max_boxes + 1):
-        patterns = _direction_patterns(n)
-        starts, boxes = [], []
-        for p_idx, pattern in enumerate(patterns):
-            # restart r > 0 starts layer k at the draws seeded base + 2 (r + k) (+ 1)
-            base = (seed * 1_000_003 + n * 10_007 + p_idx * 101) * 2
-            draws = np.array([[random_unitary(d, base + 2 * j + side).matrix
-                               for side in (0, 1)] for j in range(_RESTARTS + n)])
-            starts.append(draws[np.arange(_RESTARTS)[:, None] + np.arange(n + 1)])
-            boxes += [[mq if direction == FORWARD else mq.conj().T
-                       for direction in pattern]] * _RESTARTS
-        # rows: pattern 0's restarts, then pattern 1's, swept as one stack;
-        # restart 0 of each pattern starts from identity layers
-        starts, boxes = np.concatenate(starts), np.array(boxes)
-        a, b = starts[:, :, 0], starts[:, :, 1]
-        a[::_RESTARTS] = b[::_RESTARTS] = np.eye(d)
-        rows = len(a)
-        err, prev = np.full(rows, np.nan), np.full(rows, -1.0)
-        live, first = np.arange(rows), 0
-        for sweep in range(_SWEEPS):
-            la, lb = a[live], b[live]
-            w = _sweep_layers(la, lb, boxes[live], t_mat, d)
-            a[live], b[live] = la, lb
-            score = np.abs(np.einsum("ij,rij->r", t_mat.conj(), w))
-            done = (score - prev[live] < 1e-15) | (sweep == _SWEEPS - 1)
-            prev[live] = score
-            err[live[done]] = [phase_distance(w_r, t_mat) for w_r in w[done]]
-            live = live[~done]
-            # end once the first passing restart and all before it stopped
-            while first < rows and err[first] > tol.compile:
-                first += 1
-            if first == rows or err[first] <= tol.compile:
-                break
-        if first < rows:
-            return _assemble_word(a[first], b[first], patterns[first // _RESTARTS],
-                                  err[first])
-        for r in range(rows):
-            if err[r] < best_err:
-                best_err, best_word = err[r], _assemble_word(
-                    a[r], b[r], patterns[r // _RESTARTS], err[r])
+    for n in range(2 if one_box_out else 1, max_boxes + 1):
+        for p_idx, pattern in enumerate(_direction_patterns(n)):
+            problem = _CompileProblem(d, [slots[p] for p in pattern], t_mat)
+            x0 = np.random.default_rng([seed, n, p_idx]).standard_normal(
+                (_RESTARTS, problem.n_params))
+            x0[0] = 0.0                  # the identity layers
+            w0 = problem.word(problem.layers(x0)[1])
+            x0[:, -1] = np.angle(np.einsum("ij,rij->r", t_mat.conj(), w0))
+            x, _ = _solve_lockstep(problem, x0)
+            ops, kron, _ = problem.layers(x)
+            errs = [phase_distance(w, t_mat) for w in problem.word(kron)]
+            r = next((r for r, e in enumerate(errs) if e <= tol.compile),
+                     int(np.argmin(errs)))
+            if errs[r] < best_err:       # every earlier best failed
+                best_err, best_word = errs[r], _assemble_word(ops[r], pattern, errs[r])
+                if best_err <= tol.compile:
+                    return best_word
     raise CompileFailed(f"no word within tolerance at max_boxes={max_boxes}; "
                         f"best error {best_err:.3e}",
                         best_error=float(best_err), best_word=best_word)
 
 
-def _assemble_word(a, b, pattern, err):
-    items = [LocalLayer(a[0].copy(), b[0].copy())]
-    for k, direction in enumerate(pattern):
-        items += [Box(direction), LocalLayer(a[k + 1].copy(), b[k + 1].copy())]
+def _assemble_word(ops, pattern, err):
+    """The word of the layers ``ops`` (2(n+1), d, d), paired (a_k, b_k)."""
+    items = [LocalLayer(ops[0].copy(), ops[1].copy())]
+    for k, direction in enumerate(pattern, start=1):
+        items += [Box(direction), LocalLayer(ops[2 * k].copy(), ops[2 * k + 1].copy())]
     return CircuitWord(tuple(items), achieved_error=float(err))

@@ -259,13 +259,6 @@ def random_pure_state(d, seed):
     return state(v, (d,))
 
 
-def random_hermitian(d, seed, scale=1.0):
-    """Gaussian Hermitian matrix, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return scale * (g + g.conj().T) / 2.0
-
-
 def hermitian_basis(d):
     """Real-linear basis of the d x d Hermitian matrices, shape (d*d, d, d).
 

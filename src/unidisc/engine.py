@@ -19,11 +19,12 @@ Dispatch follows the locality classes of the pair:
   orthogonal marginals for the measuring party.  The seeded restarts of
   each search shape run in lockstep through one Levenberg-Marquardt loop
   on the exact Jacobian of these residuals (layer derivatives by the
-  Daleckii-Krein formula, carried through the runs on stacked d x d state
-  matrices); the first passing restart in order wins.  Synthesizing the
-  flat list instead of composing nested circuit wrappers keeps the per-run
-  product invariant checkable and true, which a literal expansion of
-  compiled words into runs would generically violate.
+  Daleckii-Krein formula, carried through the runs as one d^2 x d^2 matrix
+  per run; solver and layer kernel are the compiler's); the first passing
+  restart in order wins.  Synthesizing the flat list instead of composing
+  nested circuit wrappers keeps the per-run product invariant checkable and
+  true, which a literal expansion of compiled words into runs would
+  generically violate.
 * for both-entangling pairs the case label is still derived from the
   canonical-form dichotomy: compile the first box toward exp(i u1 (x) u2),
   evaluate the word on the second, and test whether the result is again of
@@ -37,7 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arc import _relative_spectrum
-from .compiler import compile_word, evaluate_word
+from .compiler import (_SYNTH_PASS, _layer_kernel, _solve_lockstep,
+                       compile_word, evaluate_word)
 from .core import (DEFAULT_TOLERANCES, PureState, Tolerances, UnitaryOperator,
                    basis_state, gram_schmidt_basis, hermitian_basis,
                    identity_operator, phase_distance, schmidt_split, state)
@@ -54,8 +56,6 @@ from .verifier import outcome_probabilities, simulate, verify
 
 _SYNTH_DEPTHS = (1, 2, 3, 4, 5, 6, 8)
 _SYNTH_RESTARTS = 6
-_LM_ITERATIONS = 200
-_SYNTH_PASS = 1e-8      # max residual at which a restart is taken
 
 
 def _measurement_plan(out_u, out_v, dims, tol):
@@ -249,13 +249,13 @@ class _SynthesisProblem:
 
     Parameters: (re, im) of Alice's and of Bob's unnormalized input, then
     per run the coordinates of H_A and H_B in ``hermitian_basis(d)``; the
-    run's local layer is exp(i H_A) (x) exp(i H_B).  States stay d x d
-    matrices S (amplitude of |i>|j> at S[i, j]), so a run maps S to
-    box @ vec(A S B^T) and no Kronecker product is formed; every array
-    carries a leading axis over the R points.  Residuals, as real then
-    imaginary parts: the 2x2 minors of every post-run state on each
-    entangling branch (zero iff product), then the marginal-overlap block of
-    the measuring party (zero iff its final marginals are orthogonal).
+    run's local layer is exp(i H_A) (x) exp(i H_B).  States are vectors
+    (amplitude of |i>|j> at i d + j) and a run is one matrix box @ (A (x) B)
+    from :func:`_layer_kernel`; every array carries a leading axis over the
+    R points.  Residuals, as real then imaginary parts: the 2x2 minors of
+    every post-run state on each entangling branch (zero iff product), then
+    the marginal-overlap block of the measuring party (zero iff its final
+    marginals are orthogonal).
     """
 
     def __init__(self, d, mu, mv, chains, pattern, party):
@@ -288,20 +288,10 @@ class _SynthesisProblem:
         return out, ok
 
     def layers(self, x):
-        """Every run's layers exp(i H) as an (R, 2n, d, d) stack (Alice's of
-        run r at 2r, Bob's at 2r + 1) and their (R, 2n, d*d, d, d)
-        derivatives along the basis, from one stacked eigendecomposition."""
-        h = np.tensordot(x[:, 4 * self.d:].reshape(len(x), 2 * self.n, -1),
-                         self.basis, axes=1)
-        w, v = np.linalg.eigh(h)
-        vh = v.conj().swapaxes(-1, -2)
-        ops = (v * np.exp(1j * w)[..., None, :]) @ vh
-        # Daleckii-Krein: d exp(iH)[E] = V ((V^dag E V) o G) V^dag, G the
-        # divided differences of e^{iw}, written to stay exact at ties
-        w_i, w_j = w[..., :, None], w[..., None, :]
-        g = 1j * np.exp(0.5j * (w_i + w_j)) * np.sinc(0.5 * (w_i - w_j) / np.pi)
-        v, vh = v[:, :, None], vh[:, :, None]
-        return ops, v @ ((vh @ self.basis @ v) * g[:, :, None]) @ vh
+        """:func:`_layer_kernel` at the run coordinates of the rows of x:
+        Alice's layer of run r at 2r, Bob's at 2r + 1."""
+        return _layer_kernel(x[:, 4 * self.d:].reshape(len(x), 2 * self.n, -1),
+                             self.basis)
 
     def _minors(self, s, ds):
         """Minors (R, m) of (R, d, d) states and their (R, P, m) derivatives."""
@@ -318,28 +308,28 @@ class _SynthesisProblem:
         short to normalize gets residuals 1e3 and a zero Jacobian."""
         d, n_h, n_p, count = self.d, self.d * self.d, self.n_params, len(x)
         ((a, da), (b, db)), ok = self.inputs(x)
-        ops, dops = self.layers(x)
+        _, kron, dkron = self.layers(x)
+        s0 = (a[:, :, None] * b[:, None, :]).reshape(count, n_h)
+        ds0 = np.zeros((count, n_p, n_h), dtype=complex)
+        ds0[:, :4 * d] = np.concatenate([da[..., None] * b[:, None, None],
+                                         a[:, None, :, None] * db[:, :, None]],
+                                        axis=1).reshape(count, 4 * d, n_h)
         parts, dparts, finals = [], [], []
         for chain, boxes in zip(self.chains, self.boxes):
-            s = a[:, :, None] * b[:, None, :]
-            ds = np.zeros((count, n_p, d, d), dtype=complex)
-            ds[:, :2 * d] = da[..., None] * b[:, None, None, :]
-            ds[:, 2 * d:4 * d] = a[:, None, :, None] * db[:, :, None, :]
+            s, ds = s0, ds0
             for r, box in enumerate(boxes):
-                la, lbt = ops[:, 2 * r], ops[:, 2 * r + 1].swapaxes(1, 2)
-                dla, dlbt = dops[:, 2 * r], dops[:, 2 * r + 1].swapaxes(2, 3)
-                sb = s @ lbt
-                dt = la[:, None] @ ds @ lbt[:, None]
+                # vec(S) <- M vec(S) for M = box @ L; the run's own
+                # coordinates add dM vec(S) = box @ dL vec(S)
+                m = box @ kron[:, r]
                 off = 4 * d + 2 * r * n_h
-                dt[:, off:off + n_h] += dla @ sb[:, None]
-                dt[:, off + n_h:off + 2 * n_h] += (la @ s)[:, None] @ dlbt
-                ds = (dt.reshape(count, n_p, n_h) @ box.T).reshape(count, n_p, d, d)
-                s = ((la @ sb).reshape(count, n_h) @ box.T).reshape(count, d, d)
+                ds = ds @ m.swapaxes(1, 2)
+                ds[:, off:off + 2 * n_h] += (dkron[:, r] @ s[:, None, :, None])[..., 0] @ box.T
+                s = (m @ s[..., None])[..., 0]
                 if chain:
-                    z, dz = self._minors(s, ds)
+                    z, dz = self._minors(s.reshape(count, d, d), ds)
                     parts.append(z)
                     dparts.append(dz)
-            finals.append((s, ds))
+            finals.append((s.reshape(count, d, d), ds.reshape(count, n_p, d, d)))
         (m_u, dm_u), (m_v, dm_v) = finals
         if self.party == ALICE:                  # ~ <a_v|a_u> outer(b)
             m_v_h = m_v.conj().swapaxes(1, 2)
@@ -361,58 +351,6 @@ def _direction_patterns(n):
     """Box directions tried at depth n: all forward, then alternating."""
     alternating = tuple(FORWARD if i % 2 == 0 else REVERSE for i in range(n))
     return [(FORWARD,) * n] + ([alternating] if n >= 2 else [])
-
-
-def _solve_lockstep(problem, x0):
-    """Levenberg-Marquardt on a stack of restarts x0 (R, n_params) of one
-    synthesis shape, in lockstep: one stacked evaluation and one batched
-    linear solve per iteration.
-
-    Damping is Marquardt-scaled (by the running maximum of diag(J^T J))
-    and follows Nielsen's update.  A row stops when max|f| <= 1e-15, when
-    an accepted step lowers its cost by a relative amount below 1e-9, when
-    its damping passes 1e10, or after ``_LM_ITERATIONS``.  The solve ends
-    once the first row with max|f| <= ``_SYNTH_PASS`` and every row before
-    it have stopped, so the first passing restart in order wins.  Returns
-    the rows' last points and their max|f|.
-    """
-    x = np.array(x0, dtype=float)
-    f, jac = problem.evaluate(x)
-    cost, err = 0.5 * np.sum(f * f, axis=1), np.abs(f).max(axis=1)
-    damping, nu = np.full(len(x), 1e-3), np.full(len(x), 2.0)
-    scale = np.full_like(x, 1e-12)
-    live, first = err > 1e-15, 0
-    diag = np.arange(x.shape[1])
-    for _ in range(_LM_ITERATIONS):
-        while first < len(x) and not live[first] and err[first] > _SYNTH_PASS:
-            first += 1
-        if first == len(x) or not live[first]:
-            break
-        rows = np.flatnonzero(live)
-        j, g = jac[rows], np.einsum("rij,ri->rj", jac[rows], f[rows])
-        normal = j.swapaxes(1, 2) @ j
-        scale[rows] = np.maximum(scale[rows], normal[:, diag, diag])
-        damp = damping[rows, None] * scale[rows]
-        normal[:, diag, diag] += damp
-        step = -np.linalg.solve(normal, g[..., None])[..., 0]
-        f_new, jac_new = problem.evaluate(x[rows] + step)
-        cost_new = 0.5 * np.sum(f_new * f_new, axis=1)
-        gain = cost[rows] - cost_new
-        predicted = 0.5 * np.sum(step * (damp * step - g), axis=1)
-        ok = (gain > 0) & (predicted > 0)
-        rho = gain[ok] / predicted[ok]
-        took = rows[ok]
-        live[took[gain[ok] < 1e-9 * cost[took]]] = False
-        x[took] += step[ok]
-        f[took], jac[took] = f_new[ok], jac_new[ok]
-        cost[took] = cost_new[ok]
-        err[took] = np.abs(f_new[ok]).max(axis=1)
-        damping[took] *= np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3)
-        nu[took] = 2.0
-        damping[rows[~ok]] *= nu[rows[~ok]]
-        nu[rows[~ok]] *= 2.0
-        live &= (err > 1e-15) & (damping <= 1e10)
-    return x, err
 
 
 def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
@@ -507,10 +445,9 @@ def identify(tree, box):
         survivors = {}
         for c, weight in champions.items():
             proto = tree.protocols[(c, k)]
-            probs = outcome_probabilities(proto, box)
-            idx_u = next((o for o, h in proto.measurement.decision.items()
-                          if h == "U"), 0)
-            p_u = float(probs[idx_u])
+            decision = proto.measurement.decision
+            p_u = float(sum(p for o, p in enumerate(outcome_probabilities(proto, box))
+                            if decision.get(o) == "U"))
             survivors[c] = weight * p_u
             survivors[k] = survivors.get(k, 0.0) + weight * (1.0 - p_u)
         champions = {c: w for c, w in survivors.items() if w > 1e-12}

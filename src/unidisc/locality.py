@@ -15,11 +15,10 @@ test: the form is the unique family inverted by conjugation with each of
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (DEFAULT_TOLERANCES, PureState, TWO_PI, UnitaryOperator,
                    phase_distance, random_pure_state, schmidt_second)
-from .exceptions import ValidationError, WitnessNotFound
+from .exceptions import DimensionMismatch, ValidationError, WitnessNotFound
 
 PRODUCT_LOCAL = "ProductLocal"
 SWAP_LOCAL = "SwapLocal"
@@ -31,6 +30,8 @@ _WITNESS_RANDOM_BUDGET = 64
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# magic basis: columns |Phi+>, i|Phi->, i|Psi+>, |Psi->
+_MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,30 @@ def xx_generator(d):
 
 
 def canonical_xx_matrix(d, x):
-    """exp(i x u1 (x) u2) as a raw matrix on d (x) d."""
+    """exp(i x u1 (x) u2) as a raw matrix on d (x) d, in closed form: the
+    generator g = u1 (x) u2 has eigenvalues +-1 and 0, so g^3 = g and
+    exp(i x g) = I + (cos x - 1) g^2 + i sin x g."""
     g = np.kron(xx_generator(d), xx_generator(d))
-    return scipy.linalg.expm(1j * x * g)
+    return np.eye(d * d) + (np.cos(x) - 1) * (g @ g) + 1j * np.sin(x) * g
 
 
 def canonical_xx_operator(d, x):
     return UnitaryOperator(canonical_xx_matrix(d, x), (d, d))
+
+
+def makhlin_invariants(u):
+    """Makhlin's local invariants [G1, G2] of a two-qubit unitary (QIP 1, 243
+    (2002)): for m = U_B^T U_B, U_B = Q^dag U Q in the magic basis Q,
+    G1 = tr(m)^2 / (16 det U) and G2 = (tr(m)^2 - tr(m^2)) / (4 det U).  They
+    agree exactly for gates equal up to local unitaries and global phase.
+    """
+    mu = u.matrix if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
+    if mu.shape != (4, 4):
+        raise DimensionMismatch(f"Makhlin invariants need a 4 x 4 matrix, got {mu.shape}")
+    ub = _MAGIC.conj().T @ mu @ _MAGIC
+    m = ub.T @ ub
+    tr, det = np.trace(m), np.linalg.det(mu)
+    return np.array([tr * tr / (16 * det), (tr * tr - np.trace(m @ m)) / (4 * det)])
 
 
 def conjugation_set(d):

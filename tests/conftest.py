@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from unidisc.core import UnitaryOperator, identity_operator, random_unitary, tensor
+from unidisc.core import (TWO_PI, UnitaryOperator, identity_operator,
+                          random_unitary, tensor)
 from unidisc.locality import swap_operator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -51,3 +52,24 @@ def swap_type_operator(d, seed):
 def haar_two_qudit(d, seed):
     """Haar two-qudit unitary (imprimitive with probability one)."""
     return UnitaryOperator(random_unitary(d * d, seed).matrix, (d, d))
+
+
+def random_hermitian(d, seed, scale=1.0):
+    """Gaussian Hermitian matrix, deterministic per seed."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return scale * (g + g.conj().T) / 2.0
+
+
+def arc_brute_force(phases):
+    """Exhaustive-search oracle for the arc length of explicit phases.
+
+    Tries every phase as the arc start and takes the smallest arc that
+    covers all phases.  O(m^2); used to cross-check ``theta``.
+    """
+    phases = np.mod(np.asarray(phases, dtype=float), TWO_PI)
+    best = TWO_PI
+    for start in phases:
+        span = np.max(np.mod(phases - start, TWO_PI))
+        best = min(best, span)
+    return float(best if phases.size > 1 else 0.0)

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from unidisc.arc import arc_brute_force, discriminating_state, theta
+from unidisc.arc import discriminating_state, theta
 from unidisc.compiler import LocalLayer, compile_word
 from unidisc.core import (UnitaryOperator, identity_operator, phase_distance,
-                          random_hermitian, random_unitary)
+                          random_unitary)
 from unidisc.engine import (build_protocol, identify, identity_vs_other,
                             multi_discriminate)
 from unidisc.exceptions import (CompileFailed, NotSingleRunDiscriminable,
@@ -27,8 +27,9 @@ from unidisc.locality import (IMPRIMITIVE, PRODUCT_LOCAL, SWAP_LOCAL,
                               extract_canonical_xx, swap_operator, xx_generator)
 from unidisc.sequential import evaluate_scheme, find_sequential_scheme, \
     required_runs
-from conftest import (CNOT_MAT, CZ_MAT, SX, SY, SZ, haar_two_qudit,
-                      product_operator, swap_type_operator)
+from conftest import (CNOT_MAT, CZ_MAT, SX, SY, SZ, arc_brute_force,
+                      haar_two_qudit, product_operator, random_hermitian,
+                      swap_type_operator)
 
 
 def _report(num, label, t0):

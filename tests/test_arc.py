@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from unidisc.arc import arc_brute_force, discriminating_state, \
-    single_run_discriminable, theta
+from unidisc.arc import discriminating_state, single_run_discriminable, theta
 from unidisc.core import UnitaryOperator, identity_operator, random_unitary
 from unidisc.exceptions import NotSingleRunDiscriminable, OperatorsEqual
 
-from conftest import SX, SZ
+from conftest import SX, SZ, arc_brute_force
 
 
 def diag_op(phases):

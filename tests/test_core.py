@@ -1,7 +1,13 @@
 """Tests for the matrix substrate: tensor, distances, spectra, sampling."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import unidisc
 
 from unidisc.core import (PureState, UnitaryOperator, basis_state,
                           identity_operator, phase_distance, random_unitary,
@@ -145,3 +151,14 @@ def test_schmidt_second_flags_entanglement():
     bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
     assert abs(schmidt_second(bell, (2, 2)) - 1 / np.sqrt(2)) < 1e-12
     assert schmidt_second(np.eye(4)[:, 0], (2, 2)) < 1e-15
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the library runs its own least squares; a fresh interpreter shows
+    # whether any module of the package pulls in scipy.optimize
+    src = os.path.dirname(os.path.dirname(os.path.abspath(unidisc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, unidisc; sys.exit(int('scipy.optimize' in sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert result.returncode == 0

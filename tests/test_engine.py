@@ -1,5 +1,7 @@
 """Tests for LOCC protocol construction across the case families."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,7 @@ import unidisc.engine
 from unidisc.arc import theta
 from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, basis_state,
                           identity_operator, random_unitary, tensor)
-from unidisc.engine import (_case_iii_label, _direction_patterns,
+from unidisc.engine import (DecisionTree, _case_iii_label, _direction_patterns,
                             _solve_lockstep, _SynthesisProblem, _wrap_rotation,
                             build_protocol, identify, identity_vs_other,
                             multi_discriminate)
@@ -18,7 +20,7 @@ from unidisc.locality import canonical_xx_operator, conjugation_set, \
     extract_canonical_xx
 from unidisc.protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC,
                               CASE_IDENTITY, CASE_IIA, CASE_IIB, FORWARD,
-                              REVERSE)
+                              REVERSE, MeasurementPlan)
 from unidisc.verifier import outcome_probabilities, simulate, verify
 
 from conftest import SZ, haar_two_qudit, product_operator, swap_type_operator
@@ -430,8 +432,8 @@ def _tree_walk(tree, box, m):
         i, j, rest = indices[0], indices[1], indices[2:]
         proto = tree.protocols[(i, j)]
         probs = outcome_probabilities(proto, box)
-        idx_u = next((k for k, h in proto.measurement.decision.items() if h == "U"), 0)
-        p_u = float(probs[idx_u])
+        p_u = sum(p for k, p in enumerate(probs)
+                  if proto.measurement.decision.get(k) == "U")
         walk((i,) + rest, weight * p_u)
         walk((j,) + rest, weight * (1.0 - p_u))
 
@@ -478,6 +480,25 @@ def test_identify_runs_each_pair_at_most_once(monkeypatch):
         assert set(outcome) == {truth}
         assert abs(outcome[truth] - 1.0) < 1e-9
         assert len(calls) <= 45
+
+
+def test_identify_sums_every_outcome_decided_u():
+    # U lands half on outcome 0 and half on outcome 2, both decided "U"
+    u, v = product_operator(3, 1), product_operator(3, 7001)
+    proto = build_protocol(u, v)
+    plan = proto.measurement
+    b0, b1, b2 = plan.basis.T
+    split = MeasurementPlan(plan.party, np.stack(
+        [(b0 + b2) / np.sqrt(2), b1, (b0 - b2) / np.sqrt(2)], axis=1),
+        decision={0: "U", 1: "V", 2: "U"})
+    proto = replace(proto, measurement=split)
+    assert verify(proto, u, v).passed
+    assert np.allclose(outcome_probabilities(proto, u), [0.5, 0.0, 0.5])
+    tree = DecisionTree({(0, 1): proto})
+    for truth, op in enumerate((u, v)):
+        outcome = identify(tree, op)
+        assert set(outcome) == {truth}
+        assert abs(outcome[truth] - 1.0) < 1e-9
 
 
 def test_multi_rejects_equal_hypotheses(eye4):

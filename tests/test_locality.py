@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from unidisc.core import (UnitaryOperator, phase_distance, random_hermitian,
+from unidisc.core import (UnitaryOperator, phase_distance, random_unitary,
                           schmidt_coefficients, tensor)
-from unidisc.exceptions import ValidationError
+from unidisc.exceptions import DimensionMismatch, ValidationError
 from unidisc.locality import (IMPRIMITIVE, PRODUCT_LOCAL, SWAP_LOCAL,
                               canonical_xx_matrix, canonical_xx_operator,
                               classify, conjugation_set, embedded_pauli,
                               imprimitivity_witness, extract_canonical_xx,
-                              operator_schmidt, xx_generator)
+                              makhlin_invariants, operator_schmidt,
+                              swap_operator, xx_generator)
 
 from conftest import HAD, SX, SY, SZ, haar_two_qudit, product_operator, \
-    swap_type_operator
+    random_hermitian, swap_type_operator
 
 
 def test_operator_schmidt_product_rank_one(cnot):
@@ -195,3 +196,22 @@ def test_canonical_xx_matrix_periodicity():
     m1 = canonical_xx_matrix(2, 0.3)
     m2 = canonical_xx_matrix(2, 0.3 + 2 * np.pi)
     assert np.linalg.norm(m1 - m2) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_canonical_xx_closed_form_matches_expm(d):
+    g = np.kron(xx_generator(d), xx_generator(d))
+    for x in (-2.5, -0.7, 0.0, 0.3, 1.0, 3.1):
+        want = scipy.linalg.expm(1j * x * g)
+        assert np.abs(canonical_xx_matrix(d, x) - want).max() <= 1e-14
+
+
+def test_makhlin_invariants_of_known_gates():
+    # (G1, G2) = (1, 3) for local gates, (0, 1) for CNOT, (-1, -3) for SWAP
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    local = np.kron(random_unitary(2, 1).matrix, random_unitary(2, 2).matrix)
+    for gate, want in ((local, [1, 3]), (cnot, [0, 1]),
+                       (swap_operator(2).matrix, [-1, -3])):
+        assert np.abs(makhlin_invariants(np.exp(0.4j) * gate) - want).max() <= 1e-12
+    with pytest.raises(DimensionMismatch):
+        makhlin_invariants(np.eye(9))
