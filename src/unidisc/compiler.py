@@ -13,7 +13,9 @@ by least squares on vec(W - e^{i phi} T): ``_RESTARTS`` seeded restarts run
 in lockstep through one Levenberg-Marquardt loop (:func:`_solve_lockstep`)
 on the exact Jacobian, which carries the layer derivatives of
 :func:`_layer_kernel` through prefix and suffix products of the word.  The
-engine's entangling synthesis runs on the same kernel and solver.
+solve ends as soon as one restart has converged, and a restart that stalls
+above the pass threshold stops early.  The engine's entangling synthesis
+runs on the same kernel and solver.
 
 At d=2 one box reaches T exactly when the box or its inverse is locally
 equivalent to T, which Makhlin's invariants decide in closed form.
@@ -31,6 +33,8 @@ from .protocol import FORWARD, REVERSE
 
 _RESTARTS = 12
 _LM_ITERATIONS = 200
+_STALL_WINDOW = 10      # a failing row stops unless, over this many iterations,
+_STALL_GAIN = 0.01      # its cost fell by at least this fraction
 _SYNTH_PASS = 1e-8      # max residual at which a restart is taken
 _ONE_BOX_GAP = 1e-3     # Makhlin-invariant gap above which one box cannot reach
 
@@ -150,22 +154,21 @@ def _solve_lockstep(problem, x0):
     Damping is Marquardt-scaled (by the running maximum of diag(J^T J))
     and follows Nielsen's update.  A row stops when max|f| <= 1e-15, when
     an accepted step lowers its cost by a relative amount below 1e-9, when
-    its damping passes 1e10, or after ``_LM_ITERATIONS``.  The solve ends
-    once the first row with max|f| <= ``_SYNTH_PASS`` and every row before
-    it have stopped, so the first passing restart in order wins.  Returns
-    the rows' last points and their max|f|.
+    its damping passes 1e10, when max|f| > ``_SYNTH_PASS`` and its cost fell
+    by less than ``_STALL_GAIN`` over the last ``_STALL_WINDOW``
+    iterations, or after ``_LM_ITERATIONS``.  The solve ends as soon as any
+    row with max|f| <= ``_SYNTH_PASS`` has stopped, or when every row has.
+    Returns the rows' last points and their max|f|.
     """
     x = np.array(x0, dtype=float)
     f, jac = problem.evaluate(x)
     cost, err = 0.5 * np.sum(f * f, axis=1), np.abs(f).max(axis=1)
     damping, nu = np.full(len(x), 1e-3), np.full(len(x), 2.0)
     scale = np.full_like(x, 1e-12)
-    live, first = err > 1e-15, 0
+    live, past = err > 1e-15, [cost.copy()]
     diag = np.arange(x.shape[1])
     for _ in range(_LM_ITERATIONS):
-        while first < len(x) and not live[first] and err[first] > _SYNTH_PASS:
-            first += 1
-        if first == len(x) or not live[first]:
+        if not live.any() or (~live & (err <= _SYNTH_PASS)).any():
             break
         rows = np.flatnonzero(live)
         j, g = jac[rows], np.einsum("rij,ri->rj", jac[rows], f[rows])
@@ -191,6 +194,9 @@ def _solve_lockstep(problem, x0):
         damping[rows[~ok]] *= nu[rows[~ok]]
         nu[rows[~ok]] *= 2.0
         live &= (err > 1e-15) & (damping <= 1e10)
+        past.append(cost.copy())
+        if len(past) > _STALL_WINDOW:
+            live &= (err <= _SYNTH_PASS) | (cost < (1 - _STALL_GAIN) * past[-1 - _STALL_WINDOW])
     return x, err
 
 
@@ -258,7 +264,8 @@ def compile_word(q, target, max_boxes, tol=DEFAULT_TOLERANCES, seed=0):
     pattern, then the one with its last use reversed, gets one lockstep
     solve of ``_RESTARTS`` starts (restart 0 at the identity layers, the
     rest from ``default_rng([seed, n, pattern])``; phi = arg tr(T^dag W)).
-    The first restart in order within the compile tolerance gives the word.
+    Of the restarts within the compile tolerance when the solve ends, the
+    lowest index gives the word.
     At d=2, box count 1 is skipped when a larger one is in the budget and
     both Makhlin-invariant gaps (of q and of q^dag) exceed ``_ONE_BOX_GAP``.
 

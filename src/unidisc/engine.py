@@ -20,11 +20,12 @@ Dispatch follows the locality classes of the pair:
   each search shape run in lockstep through one Levenberg-Marquardt loop
   on the exact Jacobian of these residuals (layer derivatives by the
   Daleckii-Krein formula, carried through the runs as one d^2 x d^2 matrix
-  per run; solver and layer kernel are the compiler's); the first passing
-  restart in order wins.  Synthesizing the flat list instead of composing
-  nested circuit wrappers keeps the per-run product invariant checkable and
-  true, which a literal expansion of compiled words into runs would
-  generically violate.
+  per run; solver and layer kernel are the compiler's).  A solve ends as
+  soon as one restart has converged, restarts that stall stop early, and
+  the passing restarts are tried in index order.  Synthesizing the flat
+  list instead of composing nested circuit wrappers keeps the per-run
+  product invariant checkable and true, which a literal expansion of
+  compiled words into runs would generically violate.
 * for both-entangling pairs the case label is still derived from the
   canonical-form dichotomy: compile the first box toward exp(i u1 (x) u2),
   evaluate the word on the second, and test whether the result is again of

@@ -282,12 +282,15 @@ def test_cli_multi_artifact(opfiles, tmp_path):
 
 
 def test_cli_artifact_determinism(opfiles, tmp_path):
+    # a closed-form pair (IB) and a synthesized one (IIA)
     out1, out2 = tmp_path / "a1.json", tmp_path / "a2.json"
-    args = ["discriminate", "--mode", "locc", opfiles["identity"],
-            opfiles["swap"], "--quiet", "--seed", "5"]
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    for other, case in (("swap", "IB"), ("cnot", "IIA")):
+        args = ["discriminate", "--mode", "locc", opfiles["identity"],
+                opfiles[other], "--quiet", "--seed", "5"]
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        assert json.loads(out1.read_text())["case_label"] == case
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_env_seed_fallback(opfiles, tmp_path, monkeypatch, capsys):

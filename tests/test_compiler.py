@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 
 import unidisc.compiler
-from unidisc.compiler import (_ONE_BOX_GAP, Box, CircuitWord, LocalLayer,
-                              _CompileProblem, _one_box_gap, compile_word,
+from unidisc.compiler import (_ONE_BOX_GAP, _STALL_WINDOW, _SYNTH_PASS, Box,
+                              CircuitWord, LocalLayer, _CompileProblem,
+                              _one_box_gap, _solve_lockstep, compile_word,
                               evaluate_word)
 from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, phase_distance,
                           random_unitary)
@@ -301,3 +302,71 @@ def test_compile_residual_is_the_word_minus_the_phased_target():
                             LocalLayer(layers[4], layers[5])))
         z = (evaluate_word(word, q.matrix) - np.exp(1j * row[-1]) * CZ_MAT).ravel()
         assert np.abs(res - np.concatenate([z.real, z.imag])).max() <= 1e-12
+
+
+class _ToyProblem:
+    """A residual function of a stack of points, counting its evaluations."""
+
+    def __init__(self, residuals):
+        self.residuals, self.calls = residuals, 0
+
+    def evaluate(self, x):
+        self.calls += 1
+        return self.residuals(x)
+
+
+def _floor_residuals(x):
+    # f = (a, 1 - a^2/2 - b^2): zero at (0, +-1).  The line b = 0 is
+    # invariant and ends in a flat minimum of cost 1/2 + a^4/8 at the origin,
+    # where Levenberg-Marquardt creeps with ever smaller relative gains.
+    a, b = x[:, 0], x[:, 1]
+    jac = np.zeros((len(x), 2, 2))
+    jac[:, 0, 0], jac[:, 1, 0], jac[:, 1, 1] = 1.0, -a, -2.0 * b
+    return np.stack([a, 1 - a * a / 2 - b * b], axis=1), jac
+
+
+def _rosenbrock_residuals(x):
+    a, b = x[:, 0], x[:, 1]
+    jac = np.zeros((len(x), 2, 2))
+    jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0] = -20.0 * a, 10.0, -1.0
+    return np.stack([10.0 * (b - a * a), 1.0 - a], axis=1), jac
+
+
+def test_lockstep_ends_at_a_converged_later_row():
+    # row 0 creeps toward the floor, row 1 converges; the solve does not
+    # wait for row 0, which stops where it is without passing
+    problem = _ToyProblem(_floor_residuals)
+    x, err = _solve_lockstep(problem, np.array([[1.0, 0.0], [1.0, 1.0]]))
+    assert err[1] <= _SYNTH_PASS and abs(abs(x[1, 1]) - 1.0) <= 1e-12
+    assert err[0] > 0.9 and x[0, 1] == 0.0
+    assert problem.calls <= _STALL_WINDOW + 5
+
+
+def test_lockstep_stops_a_stalled_row():
+    # alone on the floor line, the row still lowers its cost at every step
+    # (by far more than the 1e-9 relative stop), but by less than the stall
+    # gain over a window, so it stops long before the iteration cap
+    problem = _ToyProblem(_floor_residuals)
+    _, err = _solve_lockstep(problem, np.array([[1.0, 0.0]]))
+    assert err[0] > 0.9
+    assert _STALL_WINDOW < problem.calls <= 2 * _STALL_WINDOW
+
+
+def test_lockstep_keeps_a_row_that_makes_progress():
+    # Rosenbrock from (-1.2, 1) follows the curved valley for more than one
+    # stall window, lowering its cost enough to keep going, and reaches (1, 1)
+    problem = _ToyProblem(_rosenbrock_residuals)
+    x, err = _solve_lockstep(problem, np.array([[-1.2, 1.0]]))
+    assert problem.calls > _STALL_WINDOW + 1
+    assert err[0] <= 1e-15 and np.abs(x[0] - 1.0).max() <= 1e-12
+
+
+def test_lockstep_rows_that_start_exact_stop_at_once():
+    problem = _ToyProblem(_floor_residuals)
+    x0 = np.array([[1.0, 1.0], [0.0, 1.0]])
+    x, err = _solve_lockstep(problem, x0)
+    assert problem.calls == 1
+    assert np.array_equal(x, x0) and err[1] == 0.0
+    exact = _ToyProblem(_floor_residuals)
+    _, err = _solve_lockstep(exact, np.array([[0.0, 1.0], [0.0, -1.0]]))
+    assert exact.calls == 1 and not err.any()

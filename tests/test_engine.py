@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import unidisc.compiler
 import unidisc.engine
 from unidisc.arc import theta
 from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, basis_state,
@@ -332,6 +333,25 @@ def test_entangling_benchmark_pairs_keep_their_box_uses(case, d, s, ceiling):
     proto = build_protocol(u, v, seed=s)
     assert proto.case_label == case and proto.certificate.passed
     assert proto.box_uses <= ceiling
+
+
+def test_entangling_benchmark_solves_stop_early(monkeypatch):
+    # problem.evaluate calls on two IIIA workload pairs: 16 for the s=0
+    # label and 86 for the s=1 build, where a solve that waits for every
+    # earlier restart to stop makes 164 and 233
+    counts = {}
+    for cls in (unidisc.compiler._CompileProblem, _SynthesisProblem):
+        def counting(self, x, _evaluate=cls.evaluate, _name=cls.__name__):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _evaluate(self, x)
+        monkeypatch.setattr(cls, "evaluate", counting)
+    u, v = _WORKLOAD_PAIRS["IIIA"](2, 0)
+    assert _case_iii_label(u, v, DEFAULT_TOLERANCES, 0, 8)[0] == "IIIA"
+    assert set(counts) == {"_CompileProblem"} and counts["_CompileProblem"] <= 40
+    counts.clear()
+    proto = build_protocol(*_WORKLOAD_PAIRS["IIIA"](2, 1), seed=1)
+    assert proto.certificate.passed and proto.box_uses == 2
+    assert sum(counts.values()) <= 120
 
 
 @pytest.mark.parametrize("s", range(4))
