@@ -11,8 +11,9 @@ verify protocol.json U.json V.json   re-verify a serialized protocol
 Common flags: --tol-ortho, --tol-class, --tol-compile, --seed, --max-boxes,
 --out FILE, --quiet.  The seed falls back to the UNIDISC_SEED environment
 variable when the flag is absent.  Exit status: 0 on success, 2 on a
-certified synthesis/compile failure, 1 on usage, parse, or validation
-errors.
+certified synthesis/compile failure (whose --out artifact names the
+exception and carries its message and best error), 1 on usage, parse, or
+validation errors.
 """
 
 import argparse
@@ -255,6 +256,11 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except (SynthesisFailed, CompileFailed) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        best = getattr(exc, "best_error", getattr(exc, "best_overlap", None))
+        if best is not None and not np.isfinite(best):
+            best = None             # inf: no solve ran, and JSON has no inf
+        _emit(args, [], {"kind": "failure", "error": type(exc).__name__,
+                         "message": str(exc), "best_error": best})
         return 2
     except OperatorsEqual as exc:
         print(f"OperatorsEqual: {exc}", file=sys.stderr)

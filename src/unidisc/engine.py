@@ -16,7 +16,10 @@ Dispatch follows the locality classes of the pair:
   box directions, product input) is synthesized directly by seeded
   least-squares over the layer group, with residuals enforcing (a) a
   product state after every run on every entangling branch and (b)
-  orthogonal marginals for the measuring party.  The seeded restarts of
+  orthogonal marginals for the measuring party.  The first run's layer is
+  the identity: on a product input a product layer only moves the input,
+  which is fitted anyway, so a depth-n shape fits the input and the layers
+  of runs 2..n (a depth-1 shape the input alone).  The seeded restarts of
   each search shape run in lockstep through one Levenberg-Marquardt loop
   on the exact Jacobian of these residuals (layer derivatives by the
   Daleckii-Krein formula, carried through the runs as one d^2 x d^2 matrix
@@ -249,9 +252,12 @@ class _SynthesisProblem:
     exact Jacobian, for a stack of parameter points at once.
 
     Parameters: (re, im) of Alice's and of Bob's unnormalized input, then
-    per run the coordinates of H_A and H_B in ``hermitian_basis(d)``; the
-    run's local layer is exp(i H_A) (x) exp(i H_B).  States are vectors
-    (amplitude of |i>|j> at i d + j) and a run is one matrix box @ (A (x) B)
+    for each run after the first the coordinates of H_A and H_B in
+    ``hermitian_basis(d)``; the run's local layer is exp(i H_A) (x)
+    exp(i H_B).  The first run's layer is the identity: a product layer on
+    a product input gives another product input, so the input already has
+    that freedom.  States are vectors (amplitude of |i>|j> at i d + j); the
+    first run is its box and every later run is one matrix box @ (A (x) B)
     from :func:`_layer_kernel`; every array carries a leading axis over the
     R points.  Residuals, as real then imaginary parts: the 2x2 minors of
     every post-run state on each entangling branch (zero iff product), then
@@ -270,7 +276,7 @@ class _SynthesisProblem:
         j, l = rows[0][None, :], rows[1][None, :]
         # flat indices of the four entries of each minor S[i,j] S[k,l] - S[i,l] S[k,j]
         self.minors = [(x * d + y).ravel() for x, y in ((i, j), (k, l), (i, l), (k, j))]
-        self.n_params = 4 * d + 2 * self.n * d * d
+        self.n_params = 4 * d + 2 * (self.n - 1) * d * d
         n_minors = sum(chains) * self.n * len(self.minors[0])
         self.n_residuals = 2 * (n_minors + d * d)
 
@@ -289,9 +295,10 @@ class _SynthesisProblem:
         return out, ok
 
     def layers(self, x):
-        """:func:`_layer_kernel` at the run coordinates of the rows of x:
-        Alice's layer of run r at 2r, Bob's at 2r + 1."""
-        return _layer_kernel(x[:, 4 * self.d:].reshape(len(x), 2 * self.n, -1),
+        """:func:`_layer_kernel` at the run coordinates of the rows of x
+        (depth >= 2): the layers of runs 2..n in order, Alice's then Bob's
+        of each run."""
+        return _layer_kernel(x[:, 4 * self.d:].reshape(len(x), 2 * self.n - 2, -1),
                              self.basis)
 
     def _minors(self, s, ds):
@@ -309,23 +316,28 @@ class _SynthesisProblem:
         short to normalize gets residuals 1e3 and a zero Jacobian."""
         d, n_h, n_p, count = self.d, self.d * self.d, self.n_params, len(x)
         ((a, da), (b, db)), ok = self.inputs(x)
-        _, kron, dkron = self.layers(x)
+        if self.n > 1:
+            _, kron, dkron = self.layers(x)
         s0 = (a[:, :, None] * b[:, None, :]).reshape(count, n_h)
-        ds0 = np.zeros((count, n_p, n_h), dtype=complex)
-        ds0[:, :4 * d] = np.concatenate([da[..., None] * b[:, None, None],
-                                         a[:, None, :, None] * db[:, :, None]],
-                                        axis=1).reshape(count, 4 * d, n_h)
+        ds0 = np.concatenate([da[..., None] * b[:, None, None],
+                              a[:, None, :, None] * db[:, :, None]],
+                             axis=1).reshape(count, 4 * d, n_h)
         parts, dparts, finals = [], [], []
         for chain, boxes in zip(self.chains, self.boxes):
-            s, ds = s0, ds0
+            # the first run is its box alone; only the input moves it
+            s = s0 @ boxes[0].T
+            ds = np.zeros((count, n_p, n_h), dtype=complex)
+            ds[:, :4 * d] = ds0 @ boxes[0].T
             for r, box in enumerate(boxes):
-                # vec(S) <- M vec(S) for M = box @ L; the run's own
-                # coordinates add dM vec(S) = box @ dL vec(S)
-                m = box @ kron[:, r]
-                off = 4 * d + 2 * r * n_h
-                ds = ds @ m.swapaxes(1, 2)
-                ds[:, off:off + 2 * n_h] += (dkron[:, r] @ s[:, None, :, None])[..., 0] @ box.T
-                s = (m @ s[..., None])[..., 0]
+                if r:
+                    # vec(S) <- M vec(S) for M = box @ L; the run's own
+                    # coordinates add dM vec(S) = box @ dL vec(S)
+                    m = box @ kron[:, r - 1]
+                    off = 4 * d + 2 * (r - 1) * n_h
+                    ds = ds @ m.swapaxes(1, 2)
+                    ds[:, off:off + 2 * n_h] += \
+                        (dkron[:, r - 1] @ s[:, None, :, None])[..., 0] @ box.T
+                    s = (m @ s[..., None])[..., 0]
                 if chain:
                     z, dz = self._minors(s.reshape(count, d, d), ds)
                     parts.append(z)
@@ -358,17 +370,20 @@ def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
     """Direct synthesis of the flat run list for entangling pairs.
 
     Seeded least-squares with the exact Jacobian over (product input,
-    per-run local layers); see :class:`_SynthesisProblem` for the residuals.
+    local layers of runs 2..n; run 1 gets identity layers); see
+    :class:`_SynthesisProblem` for the residuals.
 
     No n-use protocol, forward or reverse, ends with an overlap below
     cos(n Theta / 2) while n Theta < pi, for Theta = Theta(U^dag V) (Acin
     2001; Duan, Feng and Ying 2007), so depths where that bound exceeds
     twice the orthogonality tolerance run no solve.  Their starts are still
     drawn, which keeps every later start, and so the result, unchanged.
+    When the bound rules out every depth within max_boxes, CompileFailed
+    says so, and its best error stays inf.
     """
     d = u.dims[0]
     chains = (cu.kind == IMPRIMITIVE, cv.kind == IMPRIMITIVE)
-    best = np.inf
+    best, eye = np.inf, np.eye(d, dtype=complex)
     arc = _relative_spectrum(u, v, tol)[3]
 
     rng = np.random.default_rng(seed)
@@ -387,7 +402,9 @@ def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
                 best = min(best, err.min())
                 for r in np.flatnonzero(err <= _SYNTH_PASS):
                     ((a_vec, _), (b_vec, _)), _ = problem.inputs(x[r:r + 1])
-                    ops = problem.layers(x[r:r + 1])[0][0]
+                    ops = [eye, eye]
+                    if n > 1:
+                        ops += list(problem.layers(x[r:r + 1])[0][0])
                     runs = [Run(ops[2 * k], ops[2 * k + 1], box)
                             for k, box in enumerate(pattern)]
                     proto = _finalize(label, runs, PureState(a_vec[0], (d,)),
@@ -396,9 +413,11 @@ def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
                     if proto.certificate.passed:
                         return proto
                     best = min(best, proto.certificate.overlap)
+    reason = (f"best residual {best:.3e}" if np.isfinite(best)
+              else "the arc bound rules out every depth")
     raise CompileFailed(
-        f"entangling-case synthesis exhausted (max_boxes={max_boxes}); "
-        f"best residual {best:.3e}", best_error=float(best))
+        f"entangling-case synthesis exhausted (max_boxes={max_boxes}); {reason}",
+        best_error=float(best))
 
 
 @dataclass(frozen=True)

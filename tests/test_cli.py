@@ -17,7 +17,8 @@ from unidisc.io import (_runs_from_json, dumps_artifact, load_operator,
 from unidisc.locality import swap_operator
 from unidisc.engine import build_protocol
 
-from conftest import CNOT_MAT, SZ, haar_two_qudit, product_operator
+from conftest import (CNOT_MAT, SZ, haar_two_qudit, product_operator,
+                      swap_type_operator)
 
 
 @pytest.fixture
@@ -189,6 +190,31 @@ def test_cli_exhausted_budget_exits_2(tmp_path, capsys):
                  "--max-boxes", "1", "--quiet"])
     assert code == 2
     assert "CompileFailed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair, message", [
+    # IIB d=2 s=1: Theta > pi, so depth 1 is solved and fails
+    ((swap_type_operator(2, 3), haar_two_qudit(2, 10003)), "best residual"),
+    # IIIA d=2 s=0: Theta < pi, so no depth within one box is tried
+    ((haar_two_qudit(2, 11001), haar_two_qudit(2, 12001)),
+     "the arc bound rules out every depth"),
+])
+def test_cli_failure_writes_an_artifact(tmp_path, capsys, pair, message):
+    u, v, out = tmp_path / "u.json", tmp_path / "v.json", tmp_path / "out.json"
+    save_operator(u, pair[0])
+    save_operator(v, pair[1])
+    code = main(["discriminate", "--mode", "locc", str(u), str(v),
+                 "--max-boxes", "1", "--quiet", "--out", str(out)])
+    assert code == 2
+    data = json.loads(out.read_text())
+    assert data["kind"] == "failure" and data["error"] == "CompileFailed"
+    assert message in data["message"] and data["message"] in capsys.readouterr().err
+    assert data["seed"] == 0 and "tolerances" in data
+    if message == "best residual":
+        assert 0 < data["best_error"] < np.inf
+        assert f"{data['best_error']:.3e}" in data["message"]
+    else:
+        assert data["best_error"] is None and "inf" not in data["message"]
 
 
 def test_cli_verify_roundtrip(opfiles, tmp_path, capsys):

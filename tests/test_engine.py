@@ -189,15 +189,16 @@ def _central_differences(problem, x, h=1e-5):
     return ((plus - minus) / (2 * h)).T
 
 
+_SYNTHESIS_PAIRS = {
+    "IIA": lambda d: (product_operator(d, 1), haar_two_qudit(d, 10001), (False, True)),
+    "IIIA": lambda d: (haar_two_qudit(d, 11001), haar_two_qudit(d, 12001), (True, True)),
+}
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("case", ["IIA", "IIIA"])
 def test_synthesis_jacobian_matches_central_differences(d, case):
-    if case == "IIA":
-        u, v = product_operator(d, 1), haar_two_qudit(d, 10001)
-        chains = (False, True)
-    else:
-        u, v = haar_two_qudit(d, 11001), haar_two_qudit(d, 12001)
-        chains = (True, True)
+    u, v, chains = _SYNTHESIS_PAIRS[case](d)
     rng = np.random.default_rng(d)
     for n in (1, 2, 3):
         for pattern in _direction_patterns(n):
@@ -213,30 +214,34 @@ def test_synthesis_jacobian_matches_central_differences(d, case):
                     assert err <= 1e-6, (n, pattern, party, err)
 
 
-def _reference_residual(d, mu, mv, chains, pattern, party, x):
-    """The synthesis residual from its definition: Kronecker-product layers
-    on state vectors, the 2x2 minors of every post-run state on each
+def _unit(raw):
+    """Normalized complex vector of the (re, im) coordinates raw."""
+    d = len(raw) // 2
+    vec = raw[:d] + 1j * raw[d:]
+    return vec / np.linalg.norm(vec)
+
+
+def _expi_hermitian(c):
+    """exp(i H) for H with coordinates c in ``hermitian_basis``, by expm."""
+    d = int(round(np.sqrt(len(c))))
+    h = np.diag(c[:d]).astype(complex)
+    k = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            h[i, j], h[j, i] = c[k] + 1j * c[k + 1], c[k] - 1j * c[k + 1]
+            k += 2
+    return scipy.linalg.expm(1j * h)
+
+
+def _reference_residual(d, mu, mv, chains, pattern, party, alice, bob, layers):
+    """The synthesis residual from its definition, for the input
+    alice (x) bob and one Kronecker layer per run: the layers and boxes on
+    state vectors, the 2x2 minors of every post-run state on each
     entangling branch, then the measuring party's marginal overlaps."""
-    def unit(raw):
-        vec = raw[:d] + 1j * raw[d:]
-        return vec / np.linalg.norm(vec)
-
-    def hermitian(c):
-        h = np.diag(c[:d]).astype(complex)
-        k = d
-        for i in range(d):
-            for j in range(i + 1, d):
-                h[i, j], h[j, i] = c[k] + 1j * c[k + 1], c[k] - 1j * c[k + 1]
-                k += 2
-        return h
-
-    coords = x[4 * d:].reshape(len(pattern), 2, d * d)
-    layers = [np.kron(scipy.linalg.expm(1j * hermitian(ca)),
-                      scipy.linalg.expm(1j * hermitian(cb))) for ca, cb in coords]
     pairs = [(i, k) for i in range(d) for k in range(i + 1, d)]
     z, finals = [], []
     for chain, m in zip(chains, (mu, mv)):
-        psi = np.kron(unit(x[:2 * d]), unit(x[2 * d:4 * d]))
+        psi = np.kron(alice, bob)
         for layer, direction in zip(layers, pattern):
             psi = (m if direction == FORWARD else m.conj().T) @ layer @ psi
             s = psi.reshape(d, d)
@@ -256,27 +261,70 @@ def _reference_residual(d, mu, mv, chains, pattern, party, x):
     return np.concatenate([z.real, z.imag])
 
 
+def _reference_at(d, pattern, x):
+    """Input and layers of the synthesis point x: identity layers on the
+    first run, then the layers of runs 2..n from their coordinates."""
+    coords = x[4 * d:].reshape(len(pattern) - 1, 2, d * d)
+    layers = [np.eye(d * d)] + [np.kron(_expi_hermitian(ca), _expi_hermitian(cb))
+                                for ca, cb in coords]
+    return _unit(x[:2 * d]), _unit(x[2 * d:4 * d]), layers
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("case", ["IIA", "IIIA"])
 def test_synthesis_residual_matches_its_definition(d, case):
-    if case == "IIA":
-        u, v = product_operator(d, 1), haar_two_qudit(d, 10001)
-        chains = (False, True)
-    else:
-        u, v = haar_two_qudit(d, 11001), haar_two_qudit(d, 12001)
-        chains = (True, True)
+    u, v, chains = _SYNTHESIS_PAIRS[case](d)
     rng = np.random.default_rng(10 + d)
     for n in (1, 2, 3):
         for pattern in _direction_patterns(n):
             for party in (ALICE, BOB):
                 args = (d, u.matrix, v.matrix, chains, pattern, party)
                 problem = _SynthesisProblem(*args)
+                assert problem.n_params == 4 * d + 2 * (n - 1) * d * d
                 x = rng.standard_normal((3, problem.n_params))
                 got, _ = problem.evaluate(x)
                 assert got.shape == (3, problem.n_residuals)
                 for row, res in zip(x, got):
-                    err = np.abs(res - _reference_residual(*args, row)).max()
+                    want = _reference_residual(*args, *_reference_at(d, pattern, row))
+                    err = np.abs(res - want).max()
                     assert err <= 1e-12, (n, pattern, party, err)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("case", ["IIA", "IIIA"])
+def test_first_run_layer_is_the_inputs_own_freedom(d, case):
+    # a layer A0 (x) B0 on run 0 gives the residual of the input (A0 a, B0 b)
+    u, v, chains = _SYNTHESIS_PAIRS[case](d)
+    rng = np.random.default_rng(20 + d)
+    for n in (1, 2, 3):
+        for pattern in _direction_patterns(n):
+            for party in (ALICE, BOB):
+                args = (d, u.matrix, v.matrix, chains, pattern, party)
+                problem = _SynthesisProblem(*args)
+                x = rng.standard_normal(problem.n_params)
+                a, b, layers = _reference_at(d, pattern, x)
+                a0, b0 = (_expi_hermitian(c) for c in rng.standard_normal((2, d * d)))
+                want = _reference_residual(*args, a, b, [np.kron(a0, b0)] + layers[1:])
+                x[:4 * d] = np.concatenate([part for vec in (a0 @ a, b0 @ b)
+                                            for part in (vec.real, vec.imag)])
+                got = problem.evaluate(x[None])[0][0]
+                err = np.abs(got - want).max()
+                assert err <= 1e-12, (n, pattern, party, err)
+
+
+def test_depth_one_synthesis_has_no_layer_parameters(monkeypatch):
+    u, v, chains = _SYNTHESIS_PAIRS["IIA"](3)
+    calls = []
+    kernel = unidisc.engine._layer_kernel
+    monkeypatch.setattr(unidisc.engine, "_layer_kernel",
+                        lambda *args: (calls.append(1), kernel(*args))[1])
+    for n, expected_calls in ((1, 0), (2, 1)):
+        problem = _SynthesisProblem(3, u.matrix, v.matrix, chains,
+                                    (FORWARD,) * n, ALICE)
+        assert problem.n_params == 12 + 18 * (n - 1)
+        calls.clear()
+        problem.evaluate(np.random.default_rng(n).standard_normal((2, problem.n_params)))
+        assert len(calls) == expected_calls
 
 
 def test_synthesis_rows_with_a_vanishing_input_are_never_chosen():
@@ -333,6 +381,10 @@ def test_entangling_benchmark_pairs_keep_their_box_uses(case, d, s, ceiling):
     proto = build_protocol(u, v, seed=s)
     assert proto.case_label == case and proto.certificate.passed
     assert proto.box_uses <= ceiling
+    # the first run's layer is folded into the input
+    eye = np.eye(d)
+    assert np.array_equal(proto.runs[0].alice_op, eye)
+    assert np.array_equal(proto.runs[0].bob_op, eye)
 
 
 def test_entangling_benchmark_solves_stop_early(monkeypatch):

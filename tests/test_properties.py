@@ -1,5 +1,6 @@
 """Property sweeps over the closed-form cases IA, IB and IC at d = 2..4
-and the synthesized cases IIA and IIB at d = 2.
+and the synthesized cases IIA and IIB at d = 2, and fixed IIA and IIB pairs
+at d = 3.
 
 Every drawn closed-form pair must give a protocol that the benchmark's
 numpy-only checker (``bench/checker.py``, which shares no code with the
@@ -7,8 +8,9 @@ verifier) accepts, with the box count the case promises: ceil(pi / Theta(T))
 for IA and 2 ceil(pi / min(2 Theta(T), pi)) for IC, T the relative operator
 of the differing factors.  Every drawn IIA or IIB pair must give a protocol
 the checker accepts or an honest SynthesisFailed / CompileFailed that
-carries its best error.  The examples are derandomized, so the sweeps are
-the same on every run.
+carries its best error; the fixed d = 3 pairs must each pass the checker
+with two box uses.  The examples are derandomized, so the sweeps are the
+same on every run.
 """
 
 import importlib.util
@@ -163,4 +165,20 @@ def test_entangling_pairs_pass_the_checker_or_fail_honestly(drawn):
         return
     assert proto.case_label == case
     assert proto.certificate.passed and proto.box_uses <= max_boxes
+    assert checker.check_protocol(proto, u.matrix, v.matrix) == []
+
+
+@pytest.mark.parametrize("case", [CASE_IIA, CASE_IIB])
+@pytest.mark.parametrize("s", range(6))
+def test_qutrit_entangling_pairs_pass_the_checker_with_two_uses(case, s):
+    # a product or swap-type gate against a Haar gate at d=3, build seed s
+    local = np.kron(random_unitary(3, 2 * s + 1).matrix,
+                    random_unitary(3, 2 * s + 50022).matrix)
+    if case == CASE_IIB:
+        local = local @ swap_operator(3).matrix
+    u, v = (UnitaryOperator(m, (3, 3))
+            for m in (local, random_unitary(9, 2 * s + 10001).matrix))
+    proto = build_protocol(u, v, seed=s)
+    assert proto.case_label == case
+    assert proto.certificate.passed and proto.box_uses == 2
     assert checker.check_protocol(proto, u.matrix, v.matrix) == []

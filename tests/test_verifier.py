@@ -229,7 +229,9 @@ def test_stacked_kernel_matches_kron_and_synthesis_kernels(d):
     params = rng.normal(size=(1, problem.n_params))
     problem.evaluate(params)
     ((a, _), (b, _)), _ = problem.inputs(params)
-    layers = problem.layers(params)[0][0]
+    # the first run has identity layers, the later runs the synthesis layers
+    eye = np.eye(d, dtype=complex)
+    layers = [eye, eye] + list(problem.layers(params)[0][0])
     runs = [Run(layers[2 * r], layers[2 * r + 1], box) for r, box in enumerate(pattern)]
     proto = _bare(runs, state(a[0], (d,)), state(b[0], (d,)))
 
