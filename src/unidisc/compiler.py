@@ -145,6 +145,23 @@ def _layer_kernel(coords, basis):
     return ops, kron(a, b), dkron
 
 
+def _damped_steps(normal, g):
+    """Steps -N^{-1} g for a stack of damped normal matrices N (R, P, P)
+    and gradients g (R, P).  When the batched solve meets an exactly
+    singular N it is redone row by row: the other rows get the same steps,
+    and a singular row gets a zero step, which the caller rejects."""
+    try:
+        return -np.linalg.solve(normal, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(g)
+        for r in range(len(g)):
+            try:
+                step[r] = -np.linalg.solve(normal[r], g[r, :, None])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return step
+
+
 def _solve_lockstep(problem, x0):
     """Levenberg-Marquardt on a stack of restarts x0 (R, n_params) of one
     problem (``problem.evaluate`` gives stacked residuals and Jacobians), in
@@ -152,7 +169,11 @@ def _solve_lockstep(problem, x0):
     iteration.
 
     Damping is Marquardt-scaled (by the running maximum of diag(J^T J))
-    and follows Nielsen's update.  A row stops when max|f| <= 1e-15, when
+    and follows Nielsen's update.  Nothing bounds the damping from below,
+    so a damped normal matrix with an exact null direction can be singular
+    in floating point; that row's step is then zero (:func:`_damped_steps`)
+    and, like any step that does not lower the cost, rejected, so its
+    damping grows by nu.  A row stops when max|f| <= 1e-15, when
     an accepted step lowers its cost by a relative amount below 1e-9, when
     its damping passes 1e10, when max|f| > ``_SYNTH_PASS`` and its cost fell
     by less than ``_STALL_GAIN`` over the last ``_STALL_WINDOW``
@@ -176,7 +197,7 @@ def _solve_lockstep(problem, x0):
         scale[rows] = np.maximum(scale[rows], normal[:, diag, diag])
         damp = damping[rows, None] * scale[rows]
         normal[:, diag, diag] += damp
-        step = -np.linalg.solve(normal, g[..., None])[..., 0]
+        step = _damped_steps(normal, g)
         f_new, jac_new = problem.evaluate(x[rows] + step)
         cost_new = 0.5 * np.sum(f_new * f_new, axis=1)
         gain = cost[rows] - cost_new

@@ -15,13 +15,14 @@ Dispatch follows the locality classes of the pair:
 * one or both entangling (cases II*, III*): the flat run list (local layers,
   box directions, product input) is synthesized directly by seeded
   least-squares over the layer group, with residuals enforcing (a) a
-  product state after every run on every entangling branch and (b)
-  orthogonal marginals for the measuring party.  The first run's layer is
-  the identity: on a product input a product layer only moves the input,
-  which is fitted anyway, so a depth-n shape fits the input and the layers
-  of runs 2..n (a depth-1 shape the input alone).  The seeded restarts of
-  each search shape run in lockstep through one Levenberg-Marquardt loop
-  on the exact Jacobian of these residuals (layer derivatives by the
+  product state after every run on every entangling branch and (b) a zero
+  final overlap, which for product final states means orthogonal marginals
+  for one party, the one that measures.  The first run's layer is the
+  identity: on a product input a product layer only moves the input, which
+  is fitted anyway, so a depth-n shape fits the input and the layers of
+  runs 2..n (a depth-1 shape the input alone).  The seeded restarts of each
+  search shape run in lockstep through one Levenberg-Marquardt loop on the
+  exact Jacobian of these residuals (layer derivatives by the
   Daleckii-Krein formula, carried through the runs as one d^2 x d^2 matrix
   per run; solver and layer kernel are the compiler's).  A solve ends as
   soon as one restart has converged, restarts that stall stop early, and
@@ -248,8 +249,8 @@ def _case_iii_label(u, v, tol, seed, max_boxes):
 
 
 class _SynthesisProblem:
-    """Residuals of one synthesis shape (depth, directions, party) and their
-    exact Jacobian, for a stack of parameter points at once.
+    """Residuals of one synthesis shape (depth, directions) and their exact
+    Jacobian, for a stack of parameter points at once.
 
     Parameters: (re, im) of Alice's and of Bob's unnormalized input, then
     for each run after the first the coordinates of H_A and H_B in
@@ -261,12 +262,13 @@ class _SynthesisProblem:
     from :func:`_layer_kernel`; every array carries a leading axis over the
     R points.  Residuals, as real then imaginary parts: the 2x2 minors of
     every post-run state on each entangling branch (zero iff product), then
-    the marginal-overlap block of the measuring party (zero iff its final
-    marginals are orthogonal).
+    the final overlap <psi_v|psi_u>, for product final states
+    <a_v|a_u><b_v|b_u>: zero exactly when one party's marginals are
+    orthogonal (Walgate, Short, Hardy and Vedral 2000), so either may measure.
     """
 
-    def __init__(self, d, mu, mv, chains, pattern, party):
-        self.d, self.n, self.party, self.chains = d, len(pattern), party, chains
+    def __init__(self, d, mu, mv, chains, pattern):
+        self.d, self.n, self.chains = d, len(pattern), chains
         self.basis = hermitian_basis(d)
         self.unit = np.concatenate([np.eye(d), 1j * np.eye(d)])
         self.boxes = [[m if p == FORWARD else m.conj().T for p in pattern]
@@ -278,7 +280,7 @@ class _SynthesisProblem:
         self.minors = [(x * d + y).ravel() for x, y in ((i, j), (k, l), (i, l), (k, j))]
         self.n_params = 4 * d + 2 * (self.n - 1) * d * d
         n_minors = sum(chains) * self.n * len(self.minors[0])
-        self.n_residuals = 2 * (n_minors + d * d)
+        self.n_residuals = 2 * (n_minors + 1)
 
     def inputs(self, x):
         """Normalized (alice, bob) input stacks (R, d) with their (R, 2d, d)
@@ -342,18 +344,13 @@ class _SynthesisProblem:
                     z, dz = self._minors(s.reshape(count, d, d), ds)
                     parts.append(z)
                     dparts.append(dz)
-            finals.append((s.reshape(count, d, d), ds.reshape(count, n_p, d, d)))
-        (m_u, dm_u), (m_v, dm_v) = finals
-        if self.party == ALICE:                  # ~ <a_v|a_u> outer(b)
-            m_v_h = m_v.conj().swapaxes(1, 2)
-            z = m_v_h @ m_u
-            dz = dm_v.conj().swapaxes(2, 3) @ m_u[:, None] + m_v_h[:, None] @ dm_u
-        else:                                    # ~ <b_u|b_v>* outer(a)
-            m_u_h = m_u.conj().swapaxes(1, 2)
-            z = m_v @ m_u_h
-            dz = dm_v @ m_u_h[:, None] + m_v[:, None] @ dm_u.conj().swapaxes(2, 3)
-        z = np.concatenate(parts + [z.reshape(count, -1)], axis=1)
-        dz = np.concatenate(dparts + [dz.reshape(count, n_p, -1)], axis=2)
+            finals.append((s, ds))
+        (s_u, ds_u), (s_v, ds_v) = finals
+        # <psi_v|psi_u>, moved by <dpsi_v|psi_u> + <psi_v|dpsi_u>
+        z = np.einsum("ri,ri->r", s_v.conj(), s_u)
+        dz = ds_v.conj() @ s_u[..., None] + ds_u @ s_v.conj()[..., None]
+        z = np.concatenate(parts + [z[:, None]], axis=1)
+        dz = np.concatenate(dparts + [dz], axis=2)
         f = np.concatenate([z.real, z.imag], axis=1)
         jac = np.concatenate([dz.real, dz.imag], axis=2).swapaxes(1, 2)
         f[~ok], jac[~ok] = 1e3, 0.0
@@ -371,15 +368,16 @@ def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
 
     Seeded least-squares with the exact Jacobian over (product input,
     local layers of runs 2..n; run 1 gets identity layers); see
-    :class:`_SynthesisProblem` for the residuals.
+    :class:`_SynthesisProblem` for the residuals, one solve per (depth,
+    pattern); :func:`_measurement_plan` then picks the measuring party.
 
     No n-use protocol, forward or reverse, ends with an overlap below
     cos(n Theta / 2) while n Theta < pi, for Theta = Theta(U^dag V) (Acin
     2001; Duan, Feng and Ying 2007), so depths where that bound exceeds
     twice the orthogonality tolerance run no solve.  Their starts are still
     drawn, which keeps every later start, and so the result, unchanged.
-    When the bound rules out every depth within max_boxes, CompileFailed
-    says so, and its best error stays inf.
+    When it rules out every depth searched, CompileFailed names the largest
+    and ceil(pi / Theta), and its best error stays inf.
     """
     d = u.dims[0]
     chains = (cu.kind == IMPRIMITIVE, cv.kind == IMPRIMITIVE)
@@ -391,30 +389,30 @@ def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
     for n in depths:
         ruled_out = n * arc < np.pi and np.cos(n * arc / 2) > 2 * tol.orthogonality
         for pattern in _direction_patterns(n):
-            for party in (ALICE, BOB):
-                problem = _SynthesisProblem(d, u.matrix, v.matrix, chains,
-                                            pattern, party)
-                # the same stream as one standard_normal(n_params) per restart
-                x0 = rng.standard_normal((_SYNTH_RESTARTS, problem.n_params))
-                if ruled_out:
-                    continue
-                x, err = _solve_lockstep(problem, x0)
-                best = min(best, err.min())
-                for r in np.flatnonzero(err <= _SYNTH_PASS):
-                    ((a_vec, _), (b_vec, _)), _ = problem.inputs(x[r:r + 1])
-                    ops = [eye, eye]
-                    if n > 1:
-                        ops += list(problem.layers(x[r:r + 1])[0][0])
-                    runs = [Run(ops[2 * k], ops[2 * k + 1], box)
-                            for k, box in enumerate(pattern)]
-                    proto = _finalize(label, runs, PureState(a_vec[0], (d,)),
-                                      PureState(b_vec[0], (d,)), u, v, tol,
-                                      notes=notes)
-                    if proto.certificate.passed:
-                        return proto
-                    best = min(best, proto.certificate.overlap)
-    reason = (f"best residual {best:.3e}" if np.isfinite(best)
-              else "the arc bound rules out every depth")
+            problem = _SynthesisProblem(d, u.matrix, v.matrix, chains, pattern)
+            # the same stream as one standard_normal(n_params) per restart
+            x0 = rng.standard_normal((_SYNTH_RESTARTS, problem.n_params))
+            if ruled_out:
+                continue
+            x, err = _solve_lockstep(problem, x0)
+            best = min(best, err.min())
+            for r in np.flatnonzero(err <= _SYNTH_PASS):
+                ((a_vec, _), (b_vec, _)), _ = problem.inputs(x[r:r + 1])
+                ops = [eye, eye]
+                if n > 1:
+                    ops += list(problem.layers(x[r:r + 1])[0][0])
+                runs = [Run(ops[2 * k], ops[2 * k + 1], box)
+                        for k, box in enumerate(pattern)]
+                proto = _finalize(label, runs, PureState(a_vec[0], (d,)),
+                                  PureState(b_vec[0], (d,)), u, v, tol,
+                                  notes=notes)
+                if proto.certificate.passed:
+                    return proto
+                best = min(best, proto.certificate.overlap)
+    uses = np.ceil(np.pi / arc) if arc > 0 else np.inf
+    reason = (f"best residual {best:.3e}" if np.isfinite(best) else
+              f"the arc bound rules out every depth searched, up to "
+              f"{depths[-1]}, since ceil(pi/Theta) = {uses:.0f}")
     raise CompileFailed(
         f"entangling-case synthesis exhausted (max_boxes={max_boxes}); {reason}",
         best_error=float(best))

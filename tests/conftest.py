@@ -54,6 +54,18 @@ def haar_two_qudit(d, seed):
     return UnitaryOperator(random_unitary(d * d, seed).matrix, (d, d))
 
 
+# acceptance-criterion-7 style entangling pairs by case, at d and generator
+# seed s; tests and the benchmark's entangling workload build them with seed s
+ENTANGLING_PAIRS = {
+    "IIA": lambda d, s: (product_operator(d, 2 * s + 1),
+                         haar_two_qudit(d, 2 * s + 10001)),
+    "IIB": lambda d, s: (swap_type_operator(d, 2 * s + 1),
+                         haar_two_qudit(d, 2 * s + 10001)),
+    "IIIA": lambda d, s: (haar_two_qudit(d, 2 * s + 11001),
+                          haar_two_qudit(d, 2 * s + 12001)),
+}
+
+
 def random_hermitian(d, seed, scale=1.0):
     """Gaussian Hermitian matrix, deterministic per seed."""
     rng = np.random.default_rng(seed)

@@ -7,8 +7,8 @@ import scipy.linalg
 import unidisc.compiler
 from unidisc.compiler import (_ONE_BOX_GAP, _STALL_WINDOW, _SYNTH_PASS, Box,
                               CircuitWord, LocalLayer, _CompileProblem,
-                              _one_box_gap, _solve_lockstep, compile_word,
-                              evaluate_word)
+                              _damped_steps, _one_box_gap, _solve_lockstep,
+                              compile_word, evaluate_word)
 from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, phase_distance,
                           random_unitary)
 from unidisc.engine import _case_iii_label
@@ -370,3 +370,35 @@ def test_lockstep_rows_that_start_exact_stop_at_once():
     exact = _ToyProblem(_floor_residuals)
     _, err = _solve_lockstep(exact, np.array([[0.0, 1.0], [0.0, -1.0]]))
     assert exact.calls == 1 and not err.any()
+
+
+def _null_direction_residuals(x):
+    # f = (a + b, t^2): a - b is an exact null direction of J^T J, and t
+    # halves at each Gauss-Newton step, so the damping falls by 1/3 per
+    # step until the damped normal matrix is singular in floating point
+    a, b, t = x[:, 0], x[:, 1], x[:, 2]
+    jac = np.zeros((len(x), 2, 3))
+    jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 2] = 1.0, 1.0, 2.0 * t
+    return np.stack([a + b, t * t], axis=1), jac
+
+
+def test_lockstep_rejects_the_step_of_a_singular_row():
+    # from t = 100 the row takes over 30 good steps, which would bring its
+    # damping from 1e-3 below 1e-17
+    problem = _ToyProblem(_null_direction_residuals)
+    x, err = _solve_lockstep(problem, np.array([[0.3, 0.2, 100.0]]))
+    assert problem.calls > 30
+    assert err[0] <= 1e-12 and abs(x[0, 0] + x[0, 1]) <= 1e-15
+
+
+def test_damped_steps_of_regular_rows_match_the_batched_solve():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((5, 9, 6))
+    normal = a.swapaxes(1, 2) @ a + 1e-3 * np.eye(6)
+    g = rng.standard_normal((5, 6))
+    want = -np.linalg.solve(normal, g[..., None])[..., 0]
+    assert np.array_equal(_damped_steps(normal, g), want)
+    normal[2] = np.ones((6, 6))                   # rank one: exactly singular
+    step = _damped_steps(normal, g)
+    assert not step[2].any()
+    assert np.array_equal(np.delete(step, 2, axis=0), np.delete(want, 2, axis=0))

@@ -15,16 +15,17 @@ from unidisc.engine import (DecisionTree, _case_iii_label, _direction_patterns,
                             _solve_lockstep, _SynthesisProblem, _wrap_rotation,
                             build_protocol, identify, identity_vs_other,
                             multi_discriminate)
-from unidisc.exceptions import OperatorsEqual, ValidationError
+from unidisc.exceptions import CompileFailed, OperatorsEqual, ValidationError
 from unidisc.io import dumps_artifact, protocol_to_json
 from unidisc.locality import canonical_xx_operator, conjugation_set, \
     extract_canonical_xx
-from unidisc.protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC,
+from unidisc.protocol import (BOB, CASE_IA, CASE_IB, CASE_IC,
                               CASE_IDENTITY, CASE_IIA, CASE_IIB, FORWARD,
                               REVERSE, MeasurementPlan)
 from unidisc.verifier import outcome_probabilities, simulate, verify
 
-from conftest import SZ, haar_two_qudit, product_operator, swap_type_operator
+from conftest import (ENTANGLING_PAIRS, SX, SZ, haar_two_qudit, product_operator,
+                      swap_type_operator)
 
 
 def test_rejects_equal_pair(eye4):
@@ -202,16 +203,14 @@ def test_synthesis_jacobian_matches_central_differences(d, case):
     rng = np.random.default_rng(d)
     for n in (1, 2, 3):
         for pattern in _direction_patterns(n):
-            for party in (ALICE, BOB):
-                problem = _SynthesisProblem(d, u.matrix, v.matrix, chains,
-                                            pattern, party)
-                x = rng.standard_normal((3, problem.n_params))
-                _, exact = problem.evaluate(x)
-                assert exact.shape == (3, problem.n_residuals, problem.n_params)
-                for row, jac in zip(x, exact):
-                    numeric = _central_differences(problem, row)
-                    err = np.abs(jac - numeric).max() / np.abs(numeric).max()
-                    assert err <= 1e-6, (n, pattern, party, err)
+            problem = _SynthesisProblem(d, u.matrix, v.matrix, chains, pattern)
+            x = rng.standard_normal((3, problem.n_params))
+            _, exact = problem.evaluate(x)
+            assert exact.shape == (3, problem.n_residuals, problem.n_params)
+            for row, jac in zip(x, exact):
+                numeric = _central_differences(problem, row)
+                err = np.abs(jac - numeric).max() / np.abs(numeric).max()
+                assert err <= 1e-6, (n, pattern, err)
 
 
 def _unit(raw):
@@ -233,11 +232,11 @@ def _expi_hermitian(c):
     return scipy.linalg.expm(1j * h)
 
 
-def _reference_residual(d, mu, mv, chains, pattern, party, alice, bob, layers):
+def _reference_residual(d, mu, mv, chains, pattern, alice, bob, layers):
     """The synthesis residual from its definition, for the input
     alice (x) bob and one Kronecker layer per run: the layers and boxes on
     state vectors, the 2x2 minors of every post-run state on each
-    entangling branch, then the measuring party's marginal overlaps."""
+    entangling branch, then the final overlap <psi_v|psi_u>."""
     pairs = [(i, k) for i in range(d) for k in range(i + 1, d)]
     z, finals = [], []
     for chain, m in zip(chains, (mu, mv)):
@@ -250,14 +249,7 @@ def _reference_residual(d, mu, mv, chains, pattern, party, alice, bob, layers):
                       for i, k in pairs for j, l in pairs]
         finals.append(psi)
     psi_u, psi_v = finals
-    eye = np.eye(d)
-    if party == ALICE:   # <psi_v| (I (x) |j><l|) |psi_u>
-        z += [np.vdot(psi_v, np.kron(eye, np.outer(eye[j], eye[l])) @ psi_u)
-              for j in range(d) for l in range(d)]
-    else:                # <psi_u| (|k><i| (x) I) |psi_v>
-        z += [np.vdot(psi_u, np.kron(np.outer(eye[k], eye[i]), eye) @ psi_v)
-              for i in range(d) for k in range(d)]
-    z = np.array(z)
+    z = np.array(z + [np.vdot(psi_v, psi_u)])
     return np.concatenate([z.real, z.imag])
 
 
@@ -277,17 +269,16 @@ def test_synthesis_residual_matches_its_definition(d, case):
     rng = np.random.default_rng(10 + d)
     for n in (1, 2, 3):
         for pattern in _direction_patterns(n):
-            for party in (ALICE, BOB):
-                args = (d, u.matrix, v.matrix, chains, pattern, party)
-                problem = _SynthesisProblem(*args)
-                assert problem.n_params == 4 * d + 2 * (n - 1) * d * d
-                x = rng.standard_normal((3, problem.n_params))
-                got, _ = problem.evaluate(x)
-                assert got.shape == (3, problem.n_residuals)
-                for row, res in zip(x, got):
-                    want = _reference_residual(*args, *_reference_at(d, pattern, row))
-                    err = np.abs(res - want).max()
-                    assert err <= 1e-12, (n, pattern, party, err)
+            args = (d, u.matrix, v.matrix, chains, pattern)
+            problem = _SynthesisProblem(*args)
+            assert problem.n_params == 4 * d + 2 * (n - 1) * d * d
+            x = rng.standard_normal((3, problem.n_params))
+            got, _ = problem.evaluate(x)
+            assert got.shape == (3, problem.n_residuals)
+            for row, res in zip(x, got):
+                want = _reference_residual(*args, *_reference_at(d, pattern, row))
+                err = np.abs(res - want).max()
+                assert err <= 1e-12, (n, pattern, err)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -298,18 +289,17 @@ def test_first_run_layer_is_the_inputs_own_freedom(d, case):
     rng = np.random.default_rng(20 + d)
     for n in (1, 2, 3):
         for pattern in _direction_patterns(n):
-            for party in (ALICE, BOB):
-                args = (d, u.matrix, v.matrix, chains, pattern, party)
-                problem = _SynthesisProblem(*args)
-                x = rng.standard_normal(problem.n_params)
-                a, b, layers = _reference_at(d, pattern, x)
-                a0, b0 = (_expi_hermitian(c) for c in rng.standard_normal((2, d * d)))
-                want = _reference_residual(*args, a, b, [np.kron(a0, b0)] + layers[1:])
-                x[:4 * d] = np.concatenate([part for vec in (a0 @ a, b0 @ b)
-                                            for part in (vec.real, vec.imag)])
-                got = problem.evaluate(x[None])[0][0]
-                err = np.abs(got - want).max()
-                assert err <= 1e-12, (n, pattern, party, err)
+            args = (d, u.matrix, v.matrix, chains, pattern)
+            problem = _SynthesisProblem(*args)
+            x = rng.standard_normal(problem.n_params)
+            a, b, layers = _reference_at(d, pattern, x)
+            a0, b0 = (_expi_hermitian(c) for c in rng.standard_normal((2, d * d)))
+            want = _reference_residual(*args, a, b, [np.kron(a0, b0)] + layers[1:])
+            x[:4 * d] = np.concatenate([part for vec in (a0 @ a, b0 @ b)
+                                        for part in (vec.real, vec.imag)])
+            got = problem.evaluate(x[None])[0][0]
+            err = np.abs(got - want).max()
+            assert err <= 1e-12, (n, pattern, err)
 
 
 def test_depth_one_synthesis_has_no_layer_parameters(monkeypatch):
@@ -319,8 +309,7 @@ def test_depth_one_synthesis_has_no_layer_parameters(monkeypatch):
     monkeypatch.setattr(unidisc.engine, "_layer_kernel",
                         lambda *args: (calls.append(1), kernel(*args))[1])
     for n, expected_calls in ((1, 0), (2, 1)):
-        problem = _SynthesisProblem(3, u.matrix, v.matrix, chains,
-                                    (FORWARD,) * n, ALICE)
+        problem = _SynthesisProblem(3, u.matrix, v.matrix, chains, (FORWARD,) * n)
         assert problem.n_params == 12 + 18 * (n - 1)
         calls.clear()
         problem.evaluate(np.random.default_rng(n).standard_normal((2, problem.n_params)))
@@ -329,8 +318,7 @@ def test_depth_one_synthesis_has_no_layer_parameters(monkeypatch):
 
 def test_synthesis_rows_with_a_vanishing_input_are_never_chosen():
     u, v = product_operator(2, 1), haar_two_qudit(2, 10001)
-    problem = _SynthesisProblem(2, u.matrix, v.matrix, (False, True),
-                                (FORWARD,), ALICE)
+    problem = _SynthesisProblem(2, u.matrix, v.matrix, (False, True), (FORWARD,))
     x0 = np.random.default_rng(0).standard_normal((3, problem.n_params))
     x0[1, :4] = 1e-7                       # Alice's input norm 2e-7 < 1e-6
     f, jac = problem.evaluate(x0)
@@ -359,17 +347,7 @@ def test_synthesis_runs_no_solve_at_depths_the_arc_bound_rules_out(monkeypatch):
                         lambda *args: arc(*args)[:3] + (2 * np.pi,))
     depths.clear()
     assert dumps_artifact(protocol_to_json(build_protocol(u, v), seed=0)) == skipped
-    assert depths.count(1) == 2 * 6                # 2 parties x 6 restarts
-
-
-_WORKLOAD_PAIRS = {
-    "IIA": lambda d, s: (product_operator(d, 2 * s + 1),
-                         haar_two_qudit(d, 2 * s + 10001)),
-    "IIB": lambda d, s: (swap_type_operator(d, 2 * s + 1),
-                         haar_two_qudit(d, 2 * s + 10001)),
-    "IIIA": lambda d, s: (haar_two_qudit(d, 2 * s + 11001),
-                          haar_two_qudit(d, 2 * s + 12001)),
-}
+    assert depths.count(1) == 6                    # one shape, 6 restarts
 
 
 @pytest.mark.parametrize("case, d, s, ceiling", [
@@ -377,7 +355,7 @@ _WORKLOAD_PAIRS = {
     ("IIIA", 2, 0, 2), ("IIIA", 2, 1, 2), ("IIA", 3, 0, 2), ("IIA", 3, 1, 2)])
 def test_entangling_benchmark_pairs_keep_their_box_uses(case, d, s, ceiling):
     # the pairs of the benchmark's entangling workload, build seed s
-    u, v = _WORKLOAD_PAIRS[case](d, s)
+    u, v = ENTANGLING_PAIRS[case](d, s)
     proto = build_protocol(u, v, seed=s)
     assert proto.case_label == case and proto.certificate.passed
     assert proto.box_uses <= ceiling
@@ -397,13 +375,40 @@ def test_entangling_benchmark_solves_stop_early(monkeypatch):
             counts[_name] = counts.get(_name, 0) + 1
             return _evaluate(self, x)
         monkeypatch.setattr(cls, "evaluate", counting)
-    u, v = _WORKLOAD_PAIRS["IIIA"](2, 0)
+    u, v = ENTANGLING_PAIRS["IIIA"](2, 0)
     assert _case_iii_label(u, v, DEFAULT_TOLERANCES, 0, 8)[0] == "IIIA"
     assert set(counts) == {"_CompileProblem"} and counts["_CompileProblem"] <= 40
     counts.clear()
-    proto = build_protocol(*_WORKLOAD_PAIRS["IIIA"](2, 1), seed=1)
+    proto = build_protocol(*ENTANGLING_PAIRS["IIIA"](2, 1), seed=1)
     assert proto.certificate.passed and proto.box_uses == 2
     assert sum(counts.values()) <= 120
+
+
+def test_synthesis_solves_one_shape_per_depth_and_pattern(monkeypatch):
+    # IIA d=2 s=2 fails at depth 1 and passes at depth 2; one shape per
+    # measuring party made 269 problem.evaluate calls here
+    calls = []
+    evaluate = _SynthesisProblem.evaluate
+    monkeypatch.setattr(_SynthesisProblem, "evaluate",
+                        lambda self, x: (calls.append(1), evaluate(self, x))[1])
+    proto = build_protocol(*ENTANGLING_PAIRS["IIA"](2, 2), seed=2)
+    assert proto.certificate.passed and proto.box_uses == 2
+    assert len(calls) <= 60
+
+
+@pytest.mark.parametrize("max_boxes", [8, 16])
+def test_small_arc_failure_names_the_depths_searched(max_boxes):
+    # exp(0.15i Z (x) X) = cos(0.15) I + i sin(0.15) Z (x) X against I:
+    # Theta = 0.3, so ceil(pi/Theta) = 11, beyond the largest depth searched
+    t, eye = 0.15, identity_operator((2, 2))
+    v = UnitaryOperator(np.cos(t) * eye.matrix + 1j * np.sin(t) * np.kron(SZ, SX),
+                        (2, 2))
+    with pytest.raises(CompileFailed) as info:
+        build_protocol(eye, v, max_boxes=max_boxes)
+    assert info.value.best_error == np.inf
+    assert str(info.value).endswith(
+        "the arc bound rules out every depth searched, up to 8, "
+        "since ceil(pi/Theta) = 11")
 
 
 @pytest.mark.parametrize("s", range(4))

@@ -24,10 +24,14 @@ from hypothesis import strategies as st
 
 from unidisc.core import UnitaryOperator, random_unitary
 from unidisc.engine import build_protocol
-from unidisc.exceptions import CompileFailed, OperatorsEqual, SynthesisFailed
+from unidisc.exceptions import (CompileFailed, OperatorsEqual, SynthesisFailed,
+                                ValidationError)
 from unidisc.io import dumps_artifact, protocol_to_json
 from unidisc.locality import swap_operator
-from unidisc.protocol import CASE_IA, CASE_IB, CASE_IC, CASE_IIA, CASE_IIB
+from unidisc.protocol import (CASE_IA, CASE_IB, CASE_IC, CASE_IIA, CASE_IIB,
+                              CASE_IIIA)
+
+from conftest import ENTANGLING_PAIRS
 
 CHECKER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "checker.py")
 
@@ -181,4 +185,21 @@ def test_qutrit_entangling_pairs_pass_the_checker_with_two_uses(case, s):
     proto = build_protocol(u, v, seed=s)
     assert proto.case_label == case
     assert proto.certificate.passed and proto.box_uses == 2
+    assert checker.check_protocol(proto, u.matrix, v.matrix) == []
+
+
+@pytest.mark.parametrize("case, d", [(CASE_IIA, d) for d in range(2, 6)]
+                         + [(CASE_IIB, d) for d in range(2, 6)]
+                         + [(CASE_IIIA, d) for d in range(2, 5)])
+@pytest.mark.parametrize("s", [0, 1])
+def test_entangling_scope_sweep_gives_typed_outcomes(case, d, s):
+    # one box bounds the time; at d >= 3 the lockstep solver's damping falls
+    # to where damped normal matrices are exactly singular (IIB d=4 s=1,
+    # IIIA d=3 s=1 and d=4 s=0 meet one), which must end in a typed failure
+    u, v = ENTANGLING_PAIRS[case](d, s)
+    try:
+        proto = build_protocol(u, v, seed=s, max_boxes=1)
+    except (SynthesisFailed, CompileFailed, OperatorsEqual, ValidationError):
+        return
+    assert proto.case_label == case and proto.certificate.passed
     assert checker.check_protocol(proto, u.matrix, v.matrix) == []

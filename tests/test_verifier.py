@@ -222,7 +222,7 @@ def test_stacked_kernel_matches_kron_and_synthesis_kernels(d):
     rng = np.random.default_rng(d)
     pattern = (FORWARD, REVERSE, REVERSE, FORWARD)
     boxes = [random_unitary(d * d, 100 * d + k).matrix for k in range(2)]
-    problem = _SynthesisProblem(d, *boxes, (True, True), pattern, ALICE)
+    problem = _SynthesisProblem(d, *boxes, (True, True), pattern)
     seen = []
     minors = problem._minors
     problem._minors = lambda s, ds: (seen.append(s[0].copy()), minors(s, ds))[1]
