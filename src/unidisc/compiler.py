@@ -110,7 +110,8 @@ def evaluate_word(word, q):
 
 
 def _direction_patterns(n):
-    """All forward, then the last use reversed."""
+    """All forward, then the last use reversed.  The engine's list has no
+    reversed one-box word, which targets such as q^dag need."""
     return [(FORWARD,) * n, (FORWARD,) * (n - 1) + (REVERSE,)]
 
 

@@ -26,14 +26,15 @@ Dispatch follows the locality classes of the pair:
   Daleckii-Krein formula, carried through the runs as one d^2 x d^2 matrix
   per run; solver and layer kernel are the compiler's).  A solve ends as
   soon as one restart has converged, restarts that stall stop early, and
-  the passing restarts are tried in index order.  Synthesizing the flat
-  list instead of composing nested circuit wrappers keeps the per-run
-  product invariant checkable and true, which a literal expansion of
-  compiled words into runs would generically violate.
+  the passing restart of lowest index gives the protocol.  Synthesizing
+  the flat list instead of composing nested circuit wrappers keeps the
+  per-run product invariant checkable and true, which a literal expansion
+  of compiled words into runs would generically violate.
 * for both-entangling pairs the case label is still derived from the
   canonical-form dichotomy: compile the first box toward exp(i u1 (x) u2),
   evaluate the word on the second, and test whether the result is again of
-  canonical exp(i x u1 (x) u2) form.
+  canonical exp(i x u1 (x) u2) form.  It is applied after synthesis, to the
+  certified protocol, so a pair whose synthesis fails is never labelled.
 
 Every returned protocol carries a freshly computed verifier certificate.
 """
@@ -56,7 +57,7 @@ from .protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC, CASE_IDENTITY,
                        CASE_IIA, CASE_IIB, CASE_IIIA, CASE_IIIB_EQUAL,
                        CASE_IIIB_SCALED, FORWARD, REVERSE, LoccProtocol,
                        MeasurementPlan, Run)
-from .sequential import _plane_rotation, find_sequential_scheme
+from .sequential import _plane_rotation, _runs_for_arc, find_sequential_scheme
 from .verifier import outcome_probabilities, simulate, verify
 
 _SYNTH_DEPTHS = (1, 2, 3, 4, 5, 6, 8)
@@ -78,16 +79,14 @@ def _measurement_plan(out_u, out_v, dims, tol):
 
 
 def _finalize(label, runs, alice_in, bob_in, u, v, tol, notes=""):
-    """Attach the measurement plan and a fresh certificate; fail loudly."""
+    """Attach the measurement plan and a fresh certificate."""
     proto = LoccProtocol(label, tuple(runs), alice_in, bob_in,
                          MeasurementPlan(ALICE, np.eye(alice_in.dim)),
                          notes=notes)
-    out_u = simulate(proto, u).amplitudes
-    out_v = simulate(proto, v).amplitudes
-    plan = _measurement_plan(out_u, out_v, proto.dims, tol)
-    proto = LoccProtocol(label, tuple(runs), alice_in, bob_in, plan, notes=notes)
-    report = verify(proto, u, v, tol)
-    return proto.with_certificate(report)
+    out_u, out_v = (simulate(proto, w).amplitudes for w in (u, v))
+    proto = replace(proto, measurement=_measurement_plan(out_u, out_v,
+                                                         proto.dims, tol))
+    return replace(proto, certificate=verify(proto, u, v, tol))
 
 
 def build_protocol(u, v, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=8):
@@ -116,20 +115,17 @@ def build_protocol(u, v, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=8):
             proto = _case_sequential(u, v, cu, cv, tol)
         else:
             proto = _case_ib(u, v, cu, cv, tol)
-    elif kinds.count(IMPRIMITIVE) == 1:
-        primitive_kind = cv.kind if cu.kind == IMPRIMITIVE else cu.kind
-        label = CASE_IIA if primitive_kind == PRODUCT_LOCAL else CASE_IIB
-        proto = _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes)
     else:
-        label, notes = _case_iii_label(u, v, tol, seed, max_boxes)
-        proto = _synthesize_entangling(u, v, cu, cv, label, tol, seed,
-                                       max_boxes, notes=notes)
+        proto = _synthesize_entangling(u, v, kinds, tol, seed, max_boxes)
 
     if not proto.certificate.passed:
         raise SynthesisFailed(
             f"case {proto.case_label}: certificate failed "
             f"({proto.certificate.summary()})",
             best_overlap=proto.certificate.overlap)
+    if kinds == (IMPRIMITIVE, IMPRIMITIVE):
+        label, notes = _case_iii_label(u, v, tol, seed, max_boxes)
+        proto = replace(proto, case_label=label, notes=notes)
     return proto
 
 
@@ -358,18 +354,22 @@ class _SynthesisProblem:
 
 
 def _direction_patterns(n):
-    """Box directions tried at depth n: all forward, then alternating."""
+    """Box directions tried at depth n: all forward, then alternating.
+    The compiler's list (last use reversed) gives the same box uses on IIA,
+    IIB and IIIA pairs at d=2 and 3 but takes about a fifth longer, since
+    its reversed depth-1 shape is solved and never passes."""
     alternating = tuple(FORWARD if i % 2 == 0 else REVERSE for i in range(n))
     return [(FORWARD,) * n] + ([alternating] if n >= 2 else [])
 
 
-def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
+def _synthesize_entangling(u, v, kinds, tol, seed, max_boxes):
     """Direct synthesis of the flat run list for entangling pairs.
 
     Seeded least-squares with the exact Jacobian over (product input,
     local layers of runs 2..n; run 1 gets identity layers); see
     :class:`_SynthesisProblem` for the residuals, one solve per (depth,
-    pattern); :func:`_measurement_plan` then picks the measuring party.
+    pattern); the first restart within ``_SYNTH_PASS`` gives the protocol,
+    labelled by ``kinds``, and :func:`_measurement_plan` its measuring party.
 
     No n-use protocol, forward or reverse, ends with an overlap below
     cos(n Theta / 2) while n Theta < pi, for Theta = Theta(U^dag V) (Acin
@@ -380,7 +380,9 @@ def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
     and ceil(pi / Theta), and its best error stays inf.
     """
     d = u.dims[0]
-    chains = (cu.kind == IMPRIMITIVE, cv.kind == IMPRIMITIVE)
+    chains = tuple(kind == IMPRIMITIVE for kind in kinds)
+    label = (CASE_IIIA if all(chains) else
+             CASE_IIA if PRODUCT_LOCAL in kinds else CASE_IIB)
     best, eye = np.inf, np.eye(d, dtype=complex)
     arc = _relative_spectrum(u, v, tol)[3]
 
@@ -396,20 +398,17 @@ def _synthesize_entangling(u, v, cu, cv, label, tol, seed, max_boxes, notes=""):
                 continue
             x, err = _solve_lockstep(problem, x0)
             best = min(best, err.min())
-            for r in np.flatnonzero(err <= _SYNTH_PASS):
+            r = np.argmax(err <= _SYNTH_PASS)
+            if err[r] <= _SYNTH_PASS:
                 ((a_vec, _), (b_vec, _)), _ = problem.inputs(x[r:r + 1])
                 ops = [eye, eye]
                 if n > 1:
                     ops += list(problem.layers(x[r:r + 1])[0][0])
                 runs = [Run(ops[2 * k], ops[2 * k + 1], box)
                         for k, box in enumerate(pattern)]
-                proto = _finalize(label, runs, PureState(a_vec[0], (d,)),
-                                  PureState(b_vec[0], (d,)), u, v, tol,
-                                  notes=notes)
-                if proto.certificate.passed:
-                    return proto
-                best = min(best, proto.certificate.overlap)
-    uses = np.ceil(np.pi / arc) if arc > 0 else np.inf
+                return _finalize(label, runs, PureState(a_vec[0], (d,)),
+                                 PureState(b_vec[0], (d,)), u, v, tol)
+    uses = _runs_for_arc(arc, tol) + 1 if arc > tol.classification else np.inf
     reason = (f"best residual {best:.3e}" if np.isfinite(best) else
               f"the arc bound rules out every depth searched, up to "
               f"{depths[-1]}, since ceil(pi/Theta) = {uses:.0f}")

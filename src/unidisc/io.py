@@ -36,7 +36,10 @@ def _complex_from_pair(pair, where):
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or not all(isinstance(x, (int, float)) for x in pair)):
         raise ParseError(f"{where}: expected a [re, im] pair, got {pair!r}")
-    return complex(pair[0], pair[1])
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError:
+        raise ParseError(f"{where}: [re, im] pair beyond float range") from None
 
 
 def _pairs_array(data, ndim):
@@ -203,9 +206,9 @@ def _fields_of(kind):
         yield
     except KeyError as exc:
         raise ParseError(f"missing {kind} field {exc}") from exc
-    except (TypeError, AttributeError, ValueError, IndexError) as exc:
-        # a field of the wrong JSON type, such as a list where an object
-        # belongs or a non-integer outcome key
+    except (TypeError, AttributeError, ValueError, IndexError, OverflowError) as exc:
+        # a field of the wrong JSON type, such as a list where an object belongs,
+        # a non-integer outcome key or an integer beyond float range
         raise ParseError(f"malformed {kind}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -100,7 +100,3 @@ class LoccProtocol:
     @property
     def dims(self):
         return (self.input_alice.dim, self.input_bob.dim)
-
-    def with_certificate(self, report):
-        return LoccProtocol(self.case_label, self.runs, self.input_alice,
-                            self.input_bob, self.measurement, report, self.notes)

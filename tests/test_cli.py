@@ -391,9 +391,13 @@ def _set_one_dim(data):
     data["dims"] = [2]
 
 
+def _set_overlap_beyond_float(data):
+    data["report"]["overlap"] = 10 ** 400
+
+
 @pytest.mark.parametrize("corrupt", [_set_runs_scalar, _set_run_as_list,
                                      _set_decision_list, _set_decision_key,
-                                     _set_one_dim])
+                                     _set_one_dim, _set_overlap_beyond_float])
 def test_cli_verify_malformed_protocol_is_parse_error(opfiles, tmp_path,
                                                       capsys, corrupt):
     out = tmp_path / "proto.json"
@@ -446,6 +450,7 @@ def test_matrix_decode_is_bit_identical_to_per_entry_decode():
     ([[[1.0, 0.0, 2.0]]], "matrix[0][0]: expected a [re, im] pair, got [1.0, 0.0, 2.0]"),
     ([[[1.0, 0.0], [1.0]]], "matrix[0][1]: expected a [re, im] pair, got [1.0]"),
     ([[[1, 0]], [[1, 0], [0, 1]]], "matrix: rows differ in length"),
+    ([[[1, 0], [10 ** 400, 0]]], "matrix[0][1]: [re, im] pair beyond float range"),
 ])
 def test_matrix_decode_errors(bad, message):
     with pytest.raises(ParseError) as info:
@@ -458,6 +463,8 @@ def test_matrix_decode_errors(bad, message):
     {"kind": "sequential_scheme", "dims": 5, "aux_ops": [], "input": [],
      "overlap": 0.0},
     [1, 2],
+    {"kind": "sequential_scheme", "dims": [2], "aux_ops": [],
+     "input": [[1, 0], [0, 0]], "overlap": 10 ** 400},
 ])
 def test_cli_verify_malformed_scheme_or_top_level_is_parse_error(
         opfiles, tmp_path, capsys, payload):

@@ -398,17 +398,33 @@ def test_synthesis_solves_one_shape_per_depth_and_pattern(monkeypatch):
 
 @pytest.mark.parametrize("max_boxes", [8, 16])
 def test_small_arc_failure_names_the_depths_searched(max_boxes):
-    # exp(0.15i Z (x) X) = cos(0.15) I + i sin(0.15) Z (x) X against I:
-    # Theta = 0.3, so ceil(pi/Theta) = 11, beyond the largest depth searched
-    t, eye = 0.15, identity_operator((2, 2))
-    v = UnitaryOperator(np.cos(t) * eye.matrix + 1j * np.sin(t) * np.kron(SZ, SX),
-                        (2, 2))
-    with pytest.raises(CompileFailed) as info:
-        build_protocol(eye, v, max_boxes=max_boxes)
-    assert info.value.best_error == np.inf
-    assert str(info.value).endswith(
-        "the arc bound rules out every depth searched, up to 8, "
-        "since ceil(pi/Theta) = 11")
+    # exp(i t Z (x) X) = cos(t) I + i sin(t) Z (x) X against I: Theta = 2t,
+    # and ceil(pi/Theta) = 11 and 9 lie beyond the largest depth searched;
+    # at Theta = pi/9 a bare ceil(pi/Theta) drifts to 10
+    eye = identity_operator((2, 2))
+    for t, uses in ((0.15, 11), (np.pi / 18, 9)):
+        v = UnitaryOperator(np.cos(t) * eye.matrix
+                            + 1j * np.sin(t) * np.kron(SZ, SX), (2, 2))
+        with pytest.raises(CompileFailed) as info:
+            build_protocol(eye, v, max_boxes=max_boxes)
+        assert info.value.best_error == np.inf
+        assert str(info.value).endswith(
+            "the arc bound rules out every depth searched, up to 8, "
+            f"since ceil(pi/Theta) = {uses}")
+
+
+def test_case_iii_label_runs_only_on_a_synthesized_protocol(monkeypatch):
+    calls = []
+    compile_word = unidisc.engine.compile_word
+    monkeypatch.setattr(unidisc.engine, "compile_word",
+                        lambda *a, **k: (calls.append(1), compile_word(*a, **k))[1])
+    with pytest.raises(CompileFailed, match="best residual 9.860e-02"):
+        build_protocol(*ENTANGLING_PAIRS["IIIA"](3, 0), seed=0, max_boxes=1)
+    assert not calls
+    proto = build_protocol(*ENTANGLING_PAIRS["IIIA"](2, 0), seed=0)
+    assert len(calls) == 1
+    assert (proto.case_label, proto.notes) == (
+        "IIIA", "f(V) outside the canonical family")
 
 
 @pytest.mark.parametrize("s", range(4))

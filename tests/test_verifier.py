@@ -1,5 +1,7 @@
 """Tests for independent protocol simulation and certification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,7 @@ def test_verify_passes_and_reports_for_ib(eye4, swap2):
 
 def test_verify_is_independent_of_cached_certificate(eye4, swap2):
     proto = build_protocol(eye4, swap2)
-    fake = proto.with_certificate(None)
+    fake = replace(proto, certificate=None)
     report = verify(fake, eye4, swap2)
     assert report.passed
 
