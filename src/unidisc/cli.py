@@ -13,7 +13,7 @@ Common flags: --tol-ortho, --tol-class, --tol-compile, --seed, --max-boxes,
 variable when the flag is absent.  Exit status: 0 on success, 2 on a
 certified synthesis/compile failure (whose --out artifact names the
 exception and carries its message and best error), 1 on usage, parse, or
-validation errors.
+validation errors and on an --out file that cannot be written.
 """
 
 import argparse
@@ -27,8 +27,8 @@ from . import __version__
 from .arc import discriminating_state, theta
 from .core import Tolerances
 from .engine import build_protocol, identify, multi_discriminate
-from .exceptions import (CompileFailed, OperatorsEqual, SynthesisFailed,
-                         UnidiscError, ValidationError)
+from .exceptions import (CompileFailed, SynthesisFailed, UnidiscError,
+                         ValidationError)
 from .io import (load_operator, load_protocol, matrix_to_json,
                  protocol_to_json, report_to_json, scheme_to_json,
                  tolerances_to_json, vector_to_json, write_artifact)
@@ -253,6 +253,16 @@ def main(argv=None):
         # argparse exits 2 on usage errors; the contract here is 1
         return int(exc.code) if exc.code in (0,) else 1
     try:
+        return _run(args)
+    except UnidiscError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(args):
+    """The command's exit status; a certified synthesis or compile failure
+    is exit 2, with a failure artifact under --out."""
+    try:
         return _COMMANDS[args.command](args)
     except (SynthesisFailed, CompileFailed) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -262,13 +272,6 @@ def main(argv=None):
         _emit(args, [], {"kind": "failure", "error": type(exc).__name__,
                          "message": str(exc), "best_error": best})
         return 2
-    except OperatorsEqual as exc:
-        print(f"OperatorsEqual: {exc}", file=sys.stderr)
-        return 1
-    except UnidiscError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

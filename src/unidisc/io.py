@@ -6,8 +6,17 @@ at desk scale is tiny and inspectability beats compactness.  Serialization
 is lossless for every numeric field (Python float repr round-trips), and
 every artifact the CLI writes records the tool version, seed, and
 tolerances that produced it.
+
+Every artifact has the bytes of ``json.dumps(payload, indent=2,
+sort_keys=True) + "\n"``: sorted keys, a two-space indent, NaN and
+Infinity spelled as Python's ``json`` spells them, and a trailing newline.
+CPython encodes an indented layout with its pure-Python encoder, so
+``dumps_artifact`` walks dicts and lists itself and hands each all-number
+array, the bulk of every file, to the C encoder in compact form, then lays
+the compact text out with ``str.replace``.
 """
 
+import functools
 import json
 from contextlib import contextmanager
 
@@ -15,21 +24,20 @@ import numpy as np
 
 from . import __version__
 from .core import PureState, UnitaryOperator
-from .exceptions import ParseError, ValidationError
+from .exceptions import ParseError, UnidiscError, ValidationError
 from .protocol import LoccProtocol, MeasurementPlan, Run
 from .sequential import SequentialScheme
 from .verifier import VerificationReport
 
 
 def matrix_to_json(m):
-    m = np.asarray(m, dtype=complex)
-    return [[[float(entry.real), float(entry.imag)] for entry in row]
-            for row in m]
+    """Nested lists of [re, im] float pairs, one level per axis of ``m``."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
 def vector_to_json(v):
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return [[float(entry.real), float(entry.imag)] for entry in v]
+    return matrix_to_json(np.reshape(v, -1))
 
 
 def _complex_from_pair(pair, where):
@@ -119,9 +127,7 @@ def load_operator(path, tol=None):
 
 
 def save_operator(path, op):
-    payload = {"dims": list(op.dims), "matrix": matrix_to_json(op.matrix)}
-    with open(path, "w") as fh:
-        fh.write(dumps_artifact(payload))
+    write_artifact(path, {"dims": list(op.dims), "matrix": matrix_to_json(op.matrix)})
 
 
 def tolerances_to_json(tol):
@@ -265,11 +271,110 @@ def load_protocol(path):
     return protocol_from_json(data)
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
+@functools.cache
+def _array_layout(level, depth):
+    """(head, tail, steps) that lay out an all-number array of ``depth``
+    levels opening on a line at indent ``level``: ``steps`` are the
+    (compact, indented) pairs of separators, commas first, then each
+    ``]...],[...[`` that closes and reopens j lists, deepest first."""
+    ind = tuple("\n" + "  " * (level + k) for k in range(depth + 1))
+
+    def opens(j):
+        return "".join("[" + ind[k] for k in range(depth - j + 1, depth + 1))
+
+    def closes(j):
+        return "".join(ind[k] + "]" for k in range(depth - 1, depth - 1 - j, -1))
+
+    steps = ((",", "," + ind[depth]),) + tuple(
+        ("]" * j + "," + ind[depth] + "[" * j, closes(j) + "," + ind[depth - j] + opens(j))
+        for j in range(depth - 1, 0, -1))
+    return opens(depth), closes(depth), steps
+
+
+def _laid_out_array(text, level):
+    """The indented layout of ``text``, the compact encoding of a list that
+    opens on a line at indent ``level``, or None unless every leaf of the
+    list is a number, true, false or null at one depth and no list in it is
+    empty.  Such a text holds no space, quote or brace, so each separator
+    is replaced whole."""
+    depth = len(text) - len(text.lstrip("["))
+    if '"' in text or "{" in text or "[]" in text or not text.endswith("]" * depth):
+        return None
+    head, tail, steps = _array_layout(level, depth)
+    body = text[depth:-depth]
+    for compact, indented in steps:
+        body = body.replace(compact, indented)
+    # the brackets balance, so a leaf at another depth, or a longer closing
+    # run, leaves some "[" that no separator took, next to a number
+    if body.count("[") != body.count("[\n"):
+        return None
+    return head + body + tail
+
+
+def _encode(o, level, out):
+    """Append the layout of ``o``, which opens on a line at indent ``level``,
+    to the list of strings ``out``, in the order and with the errors of
+    ``json.dumps(o, indent=2, sort_keys=True)``; only a dict or list that
+    contains itself recurses without end, where json.dumps raises
+    ValueError."""
+    close = "\n" + "  " * level
+    item = close + "  "
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        out.append("{")
+        for k, (key, value) in enumerate(sorted(o.items())):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = _COMPACT.encode(key)
+            out.append(("," if k else "") + item + _COMPACT.encode(key) + ": ")
+            _encode(value, level + 1, out)
+        out.append(close + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        # a first leaf that is a dict or a string, as in the list of runs,
+        # rules the compact layout out before encoding
+        leaf = o
+        while isinstance(leaf, (list, tuple)) and leaf:
+            leaf = leaf[0]
+        if not isinstance(leaf, (dict, str)):
+            laid = _laid_out_array(_COMPACT.encode(o), level)
+            if laid is not None:
+                out.append(laid)
+                return
+        out.append("[")
+        for k, value in enumerate(o):
+            out.append(("," if k else "") + item)
+            _encode(value, level + 1, out)
+        out.append(close + "]")
+    else:
+        out.append(_COMPACT.encode(o))
+
+
 def dumps_artifact(payload):
-    """Deterministic JSON bytes: sorted keys, fixed layout, trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, trailing
+    newline; the bytes of ``json.dumps(payload, indent=2, sort_keys=True)``."""
+    out = []
+    _encode(payload, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_artifact(path, payload):
-    with open(path, "w") as fh:
-        fh.write(dumps_artifact(payload))
+    """Write ``payload`` to ``path``.  The text is encoded before the file
+    opens, so a payload that cannot be encoded leaves the file as it was;
+    a file that cannot be written is a UnidiscError naming the path."""
+    text = dumps_artifact(payload)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UnidiscError(f"cannot write {path}: {exc}") from exc

@@ -217,6 +217,30 @@ def test_cli_failure_writes_an_artifact(tmp_path, capsys, pair, message):
         assert data["best_error"] is None and "inf" not in data["message"]
 
 
+def test_cli_unwritable_out_exits_1_naming_the_path(opfiles, tmp_path, capsys):
+    out = tmp_path / "missing" / "theta.json"
+    assert main(["theta", opfiles["pauliZ"], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "theta = 3.14159" in captured.out
+    assert captured.err.startswith(f"UnidiscError: cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and not out.exists()
+
+
+def test_cli_unwritable_failure_artifact_exits_1_naming_the_path(tmp_path, capsys):
+    # the IIIA d=2 s=0 pair fails within one box, as above
+    u, v = tmp_path / "u.json", tmp_path / "v.json"
+    out = tmp_path / "missing" / "failure.json"
+    save_operator(u, haar_two_qudit(2, 11001))
+    save_operator(v, haar_two_qudit(2, 12001))
+    code = main(["discriminate", "--mode", "locc", str(u), str(v),
+                 "--max-boxes", "1", "--quiet", "--out", str(out)])
+    assert code == 1
+    first, last = capsys.readouterr().err.splitlines()
+    assert first.startswith("CompileFailed: ")
+    assert last.startswith(f"UnidiscError: cannot write {out}: ")
+    assert not out.exists()
+
+
 def test_cli_verify_roundtrip(opfiles, tmp_path, capsys):
     out = tmp_path / "proto.json"
     assert main(["discriminate", "--mode", "locc", opfiles["identity"],

@@ -1,15 +1,15 @@
 """Property sweeps over the closed-form cases IA, IB and IC at d = 2..4
-and the synthesized cases IIA and IIB at d = 2, and fixed IIA and IIB pairs
-at d = 3.
+and the synthesized cases IIA, IIB and III at d = 2, and fixed IIA and IIB
+pairs at d = 3.
 
 Every drawn closed-form pair must give a protocol that the benchmark's
 numpy-only checker (``bench/checker.py``, which shares no code with the
 verifier) accepts, with the box count the case promises: ceil(pi / Theta(T))
 for IA and 2 ceil(pi / min(2 Theta(T), pi)) for IC, T the relative operator
-of the differing factors.  Every drawn IIA or IIB pair must give a protocol
-the checker accepts or an honest SynthesisFailed / CompileFailed that
-carries its best error; the fixed d = 3 pairs must each pass the checker
-with two box uses.  The examples are derandomized, so the sweeps are the
+of the differing factors.  Every drawn IIA, IIB or Haar-Haar (case III)
+pair must give a protocol the checker accepts or an honest SynthesisFailed
+/ CompileFailed that carries its best error; the fixed d = 3 pairs must
+each pass the checker with two box uses.  The examples are derandomized, so the sweeps are the
 same on every run.
 """
 
@@ -155,21 +155,38 @@ def entangling_pairs(draw):
     return case, u, v, draw(st.integers(0, 50)), draw(st.integers(1, 2))
 
 
-@settings(SWEEP, max_examples=40)
-@given(entangling_pairs())
-def test_entangling_pairs_pass_the_checker_or_fail_honestly(drawn):
-    case, u, v, seed, max_boxes = drawn
+def _checked_or_failed_honestly(u, v, seed, max_boxes):
+    """The protocol built within ``max_boxes``, which must pass the checker,
+    or None after a SynthesisFailed or CompileFailed with its best error."""
     try:
         proto = build_protocol(u, v, seed=seed, max_boxes=max_boxes)
     except SynthesisFailed as exc:
         assert exc.best_overlap is not None
-        return
+        return None
     except CompileFailed as exc:
         assert exc.best_error is not None and exc.best_error > 0
-        return
-    assert proto.case_label == case
+        return None
     assert proto.certificate.passed and proto.box_uses <= max_boxes
     assert checker.check_protocol(proto, u.matrix, v.matrix) == []
+    return proto
+
+
+@settings(SWEEP, max_examples=40)
+@given(entangling_pairs())
+def test_entangling_pairs_pass_the_checker_or_fail_honestly(drawn):
+    case, u, v, seed, max_boxes = drawn
+    proto = _checked_or_failed_honestly(u, v, seed, max_boxes)
+    assert proto is None or proto.case_label == case
+
+
+@settings(SWEEP, max_examples=40)
+@given(st.integers(0, 2 ** 20), st.integers(0, 50), st.integers(1, 2))
+def test_haar_pairs_pass_the_checker_or_fail_honestly(gate_seed, seed, max_boxes):
+    # two Haar gates at d=2: both entangle, so a protocol is case III
+    u, v = (UnitaryOperator(random_unitary(4, gate_seed + k).matrix, (2, 2))
+            for k in (0, 1))
+    proto = _checked_or_failed_honestly(u, v, seed, max_boxes)
+    assert proto is None or proto.case_label.startswith("III")
 
 
 @pytest.mark.parametrize("case", [CASE_IIA, CASE_IIB])
