@@ -16,7 +16,6 @@ function, so everything here is safe for concurrent use.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DimensionMismatch, EigendecompositionError, ValidationError
 
@@ -192,10 +191,13 @@ def _canonical_vector_phase(v):
 def unitary_eig(u):
     """Eigenphases in [0, 2 pi) and orthonormal eigenvectors of a unitary.
 
-    Uses a complex Schur decomposition, which is exact-diagonal for normal
-    matrices and guarantees orthonormal vectors under degeneracy.  Phases are
-    sorted ascending; ties are broken by the lexicographic order of the
-    phase-canonicalized eigenvectors.
+    ``W = e^{i turn} U`` puts the middle of the widest gap between the
+    eigenvalues at -1, so the Cayley transform ``i (I - W)(I + W)^{-1}`` is
+    Hermitian with eigenvalues ``t = tan(theta / 2)``, theta the phases of
+    W; ``eigh`` keeps the vectors orthonormal under degeneracy, and U's
+    phases are ``2 arctan(t) - turn``.  Phases are sorted ascending; ties
+    are broken by the lexicographic order of the phase-canonicalized
+    eigenvectors.
 
     Returns
     -------
@@ -203,11 +205,17 @@ def unitary_eig(u):
     vectors : (D, D) complex array, column j belongs to phases[j]
     """
     m = u.matrix if isinstance(u, UnitaryOperator) else _as_complex_matrix(u)
+    eye = np.eye(m.shape[0])
     try:
-        t, z = scipy.linalg.schur(m, output="complex")
-    except Exception as exc:  # pragma: no cover - scipy failure is exotic
-        raise EigendecompositionError(f"Schur decomposition failed: {exc}") from exc
-    phases = np.mod(np.angle(np.diagonal(t)), TWO_PI)
+        angles = np.sort(np.angle(np.linalg.eigvals(m)))
+        gaps = np.diff(angles, append=angles[0] + TWO_PI)
+        turn = np.pi - angles[np.argmax(gaps)] - gaps.max() / 2
+        w = np.exp(1j * turn) * m
+        h = 1j * np.linalg.solve(eye + w, eye - w)
+        t, z = np.linalg.eigh((h + h.conj().T) / 2)
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionError(f"eigendecomposition failed: {exc}") from exc
+    phases = np.mod(2 * np.arctan(t) - turn, TWO_PI)
     # values within 1e-12 of 2 pi wrap to 0
     phases[phases > TWO_PI - 1e-12] = 0.0
     vectors = np.array([_canonical_vector_phase(z[:, j]) for j in range(z.shape[1])]).T

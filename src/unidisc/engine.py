@@ -60,7 +60,6 @@ from .protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC, CASE_IDENTITY,
 from .sequential import _plane_rotation, _runs_for_arc, find_sequential_scheme
 from .verifier import outcome_probabilities, simulate, verify
 
-_SYNTH_DEPTHS = (1, 2, 3, 4, 5, 6, 8)
 _SYNTH_RESTARTS = 6
 
 
@@ -368,8 +367,9 @@ def _synthesize_entangling(u, v, kinds, tol, seed, max_boxes):
     Seeded least-squares with the exact Jacobian over (product input,
     local layers of runs 2..n; run 1 gets identity layers); see
     :class:`_SynthesisProblem` for the residuals, one solve per (depth,
-    pattern); the first restart within ``_SYNTH_PASS`` gives the protocol,
-    labelled by ``kinds``, and :func:`_measurement_plan` its measuring party.
+    pattern) at every depth up to ``max_boxes``; the first restart within
+    ``_SYNTH_PASS`` gives the protocol, labelled by ``kinds``, and
+    :func:`_measurement_plan` its measuring party.
 
     No n-use protocol, forward or reverse, ends with an overlap below
     cos(n Theta / 2) while n Theta < pi, for Theta = Theta(U^dag V) (Acin
@@ -387,8 +387,7 @@ def _synthesize_entangling(u, v, kinds, tol, seed, max_boxes):
     arc = _relative_spectrum(u, v, tol)[3]
 
     rng = np.random.default_rng(seed)
-    depths = [n for n in _SYNTH_DEPTHS if n <= max_boxes]
-    for n in depths:
+    for n in range(1, max_boxes + 1):
         ruled_out = n * arc < np.pi and np.cos(n * arc / 2) > 2 * tol.orthogonality
         for pattern in _direction_patterns(n):
             problem = _SynthesisProblem(d, u.matrix, v.matrix, chains, pattern)
@@ -411,7 +410,7 @@ def _synthesize_entangling(u, v, kinds, tol, seed, max_boxes):
     uses = _runs_for_arc(arc, tol) + 1 if arc > tol.classification else np.inf
     reason = (f"best residual {best:.3e}" if np.isfinite(best) else
               f"the arc bound rules out every depth searched, up to "
-              f"{depths[-1]}, since ceil(pi/Theta) = {uses:.0f}")
+              f"{max_boxes}, since ceil(pi/Theta) = {uses:.0f}")
     raise CompileFailed(
         f"entangling-case synthesis exhausted (max_boxes={max_boxes}); {reason}",
         best_error=float(best))

@@ -92,9 +92,9 @@ def vector_from_json(data, where="vector"):
 def _read_object(path):
     """The JSON object stored at ``path``; any failure is a ParseError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
@@ -374,7 +374,7 @@ def write_artifact(path, payload):
     a file that cannot be written is a UnidiscError naming the path."""
     text = dumps_artifact(payload)
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise UnidiscError(f"cannot write {path}: {exc}") from exc

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import unidisc
 from unidisc.cli import main
 from unidisc.core import UnitaryOperator, identity_operator, phase_distance
 from unidisc.exceptions import ParseError, ValidationError
@@ -17,8 +18,8 @@ from unidisc.io import (_runs_from_json, dumps_artifact, load_operator,
 from unidisc.locality import swap_operator
 from unidisc.engine import build_protocol
 
-from conftest import (CNOT_MAT, SZ, haar_two_qudit, product_operator,
-                      swap_type_operator)
+from conftest import (CNOT_MAT, ENTANGLING_PAIRS, SZ, haar_two_qudit,
+                      product_operator, swap_type_operator)
 
 
 @pytest.fixture
@@ -393,6 +394,36 @@ def test_console_entry_point_usage_error():
 def test_unknown_operator_file_is_parse_error():
     code = main(["theta", "/nonexistent/file.json", "--quiet"])
     assert code == 1
+
+
+def test_cli_non_utf8_file_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'\xff\xfe{"dims": [2]}')
+    assert main(["theta", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ParseError: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("pair", ["IA", "IIA"])
+def test_cli_runs_with_scipy_blocked(tmp_path, pair):
+    # a None entry in sys.modules makes every import of scipy fail
+    if pair == "IA":
+        u, v = identity_operator((2, 2)), UnitaryOperator(np.kron(SZ, np.eye(2)), (2, 2))
+    else:
+        u, v = ENTANGLING_PAIRS["IIA"](2, 0)
+    paths = [str(tmp_path / name) for name in ("u.json", "v.json", "proto.json")]
+    save_operator(paths[0], u)
+    save_operator(paths[1], v)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(unidisc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from unidisc.cli import main; sys.exit(main(sys.argv[1:]))")
+    for args in (["discriminate", "--mode", "locc", paths[0], paths[1],
+                  "--out", paths[2], "--quiet"], ["verify", paths[2], *paths[:2]]):
+        result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 def _set_runs_scalar(data):

@@ -6,13 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import unidisc
 
 from unidisc.core import (PureState, UnitaryOperator, basis_state,
                           identity_operator, phase_distance, random_unitary,
                           schmidt_second, state, tensor, unitary_eig)
-from unidisc.exceptions import DimensionMismatch, ValidationError
+from unidisc.exceptions import (DimensionMismatch, EigendecompositionError,
+                                ValidationError)
 
 from conftest import HAD, SX, SZ
 
@@ -130,6 +132,56 @@ def test_unitary_eig_reconstruction_property(d):
         assert np.linalg.norm(gram - np.eye(d), ord="fro") < 1e-9
 
 
+def _with_phases(phases, seed):
+    """Q diag(e^{i phases}) Q^dag for a Haar Q of matching size."""
+    q = random_unitary(len(phases), seed).matrix
+    return (q * np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+
+def _cluster(width):
+    # four phases at 2.0 split by width, among spread-out singles
+    return [0.4, 2.0, 2.0 + width, 2.0 + 2 * width, 2.0 + 3 * width, 3.3, 5.9]
+
+
+HARD_SPECTRA = {
+    "exact-degenerate": lambda: _with_phases([1.0] * 3 + [2.5] * 2 + [4.0], 1),
+    "split-1e-12": lambda: _with_phases(_cluster(1e-12), 2),
+    "split-1e-9": lambda: _with_phases(_cluster(1e-9), 3),
+    "split-1e-6": lambda: _with_phases(_cluster(1e-6), 4),
+    "antipodal": lambda: _with_phases([0.7, 0.7, 0.7 + np.pi, 0.7 + np.pi], 5),
+    "minus-identity": lambda: -np.eye(3),
+    "phase-identity": lambda: np.exp(0.3j) * np.eye(4),
+    "D=1": lambda: np.array([[np.exp(5.0j)]]),
+    "D=81": lambda: random_unitary(81, 6).matrix,
+    "D=81-clusters": lambda: _with_phases(
+        np.repeat([0.2, 1.9, 1.9 + 1e-9, 3.6, 5.1], [20, 15, 15, 20, 11]), 7),
+}
+
+
+@pytest.mark.parametrize("name", HARD_SPECTRA)
+def test_unitary_eig_hard_spectra_match_schur(name):
+    m = HARD_SPECTRA[name]()
+    phases, vectors = unitary_eig(m)
+    d = m.shape[0]
+    assert np.abs(vectors.conj().T @ vectors - np.eye(d)).max() <= 1e-12
+    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
+    assert np.linalg.norm(recon - m, ord="fro") <= 1e-9
+    # the complex Schur form of a normal matrix is diagonal: the oracle
+    t, _ = scipy.linalg.schur(m, output="complex")
+    want = np.mod(np.angle(np.diagonal(t)), 2 * np.pi)
+    want[want > 2 * np.pi - 1e-12] = 0.0
+    np.testing.assert_allclose(phases, np.sort(want), rtol=0, atol=1e-12)
+
+
+def test_unitary_eig_linalg_failure_is_an_eigendecomposition_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigendecompositionError, match="did not converge"):
+        unitary_eig(identity_operator((2,)))
+
+
 def test_random_unitary_determinism_and_residual():
     a = random_unitary(2, 7)
     b = random_unitary(2, 7)
@@ -153,12 +205,13 @@ def test_schmidt_second_flags_entanglement():
     assert schmidt_second(np.eye(4)[:, 0], (2, 2)) < 1e-15
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # the library runs its own least squares; a fresh interpreter shows
-    # whether any module of the package pulls in scipy.optimize
+def test_import_leaves_scipy_unloaded():
+    # the library runs on numpy alone; a fresh interpreter shows whether any
+    # module of the package pulls in scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(unidisc.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, unidisc; sys.exit(int('scipy.optimize' in sys.modules))"
+    code = ("import sys, unidisc, unidisc.cli; "
+            "sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))")
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert result.returncode == 0

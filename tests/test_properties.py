@@ -9,8 +9,9 @@ for IA and 2 ceil(pi / min(2 Theta(T), pi)) for IC, T the relative operator
 of the differing factors.  Every drawn IIA, IIB or Haar-Haar (case III)
 pair must give a protocol the checker accepts or an honest SynthesisFailed
 / CompileFailed that carries its best error; the fixed d = 3 pairs must
-each pass the checker with two box uses.  The examples are derandomized, so the sweeps are the
-same on every run.
+each pass the checker with two box uses, and two small-arc IIA pairs at d = 2
+must pass it with 11 and 10.  The examples are derandomized, so the sweeps
+are the same on every run.
 """
 
 import importlib.util
@@ -31,7 +32,7 @@ from unidisc.locality import swap_operator
 from unidisc.protocol import (CASE_IA, CASE_IB, CASE_IC, CASE_IIA, CASE_IIB,
                               CASE_IIIA)
 
-from conftest import ENTANGLING_PAIRS
+from conftest import ENTANGLING_PAIRS, SX, SZ
 
 CHECKER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "checker.py")
 
@@ -202,6 +203,20 @@ def test_qutrit_entangling_pairs_pass_the_checker_with_two_uses(case, s):
     proto = build_protocol(u, v, seed=s)
     assert proto.case_label == case
     assert proto.certificate.passed and proto.box_uses == 2
+    assert checker.check_protocol(proto, u.matrix, v.matrix) == []
+
+
+@pytest.mark.parametrize("t, uses", [(0.15, 11), (np.pi / 18, 10)],
+                         ids=["t=0.15", "t=pi-over-18"])
+def test_small_arc_pairs_pass_the_checker_beyond_depth_8(t, uses):
+    # exp(i t Z (x) X) against I: Theta = 2t, so ceil(pi/Theta) = 11 and 9
+    # uses; the synthesis searches every depth up to max_boxes
+    u = UnitaryOperator(np.eye(4), (2, 2))
+    v = UnitaryOperator(np.cos(t) * np.eye(4)
+                        + 1j * np.sin(t) * np.kron(SZ, SX), (2, 2))
+    proto = build_protocol(u, v, max_boxes=16)
+    assert proto.case_label == CASE_IIA
+    assert proto.certificate.passed and proto.box_uses == uses
     assert checker.check_protocol(proto, u.matrix, v.matrix) == []
 
 
