@@ -6,12 +6,14 @@ Dispatch follows the locality classes of the pair:
   every operator in sight maps product states to product states, so the
   whole process stays product.  IB (product vs swap-type) takes one run.
   IA (both product) runs the single-qudit sequential scheme of the
-  differing factors on their side: N - 1 copies of the factor's U^dag and
-  one possibly capped last op between the box uses.  IC (both swap-type)
-  is IA on the wrapped pair f(X) = X (X1 (x) X2) X^dag, which is product;
-  each f use costs a reverse and a forward box application.  The wrap's
-  local unitary is a closed-form rotation in the plane of the two farthest
-  apart eigenvectors of the differing factors' relative operator.
+  differing factors on the side that needs fewer box uses: N - 1 copies of
+  the factor's U^dag and one possibly capped last op between the box uses.
+  IC (both swap-type) takes one forward run when a factor pair's relative
+  operator has arc pi; otherwise it is IA on the wrapped pair
+  f(X) = X (X1 (x) X2) X^dag, which is product, and each f use costs a
+  reverse and a forward box application.  The wrap's local unitary is a
+  closed-form rotation in the plane of the two farthest apart eigenvectors
+  of the chosen side's relative operator.
 * one or both entangling (cases II*, III*): the flat run list (local layers,
   box directions, product input) is synthesized directly by seeded
   least-squares over the layer group, with residuals enforcing (a) a
@@ -43,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arc import _relative_spectrum
+from .arc import _relative_spectrum, zero_hull_state
 from .compiler import (_SYNTH_PASS, _layer_kernel, _solve_lockstep,
                        compile_word, evaluate_word)
 from .core import (DEFAULT_TOLERANCES, PureState, Tolerances, UnitaryOperator,
@@ -158,18 +160,17 @@ def _case_ib(u, v, cu, cv, tol):
     return _finalize(CASE_IB, runs, alice_in, bob_in, u, v, tol)
 
 
-def _wrap_rotation(f, g, tol):
-    """Closed-form x for the IC wrap of the factor pair (f, g).
+def _wrap_rotation(phases, vectors):
+    """Closed-form x for the IC wrap of the factor pair (f, g), from the
+    eigenphases and eigenvectors of T = f^dag g.
 
-    With T = f^dag g, the wrapped relative operator is similar to
-    x^dag T x T^dag.  For x the rotation by t in the plane of the
-    eigenvectors of T's two farthest apart eigenvalues (chord
-    2 sin(delta/2)), it has eigenphases +-beta and 0 with
-    cos beta = 1 - 2 sin^2 t sin^2(delta/2).  sin t = min(1, 1 / (sqrt 2
-    sin(delta/2))) gives the arc min(2 Theta(T), pi), the most any x can
-    give since arcs add under products.
+    The wrapped relative operator is similar to x^dag T x T^dag.  For x the
+    rotation by t in the plane of the eigenvectors of T's two farthest
+    apart eigenvalues (chord 2 sin(delta/2)), it has eigenphases +-beta and
+    0 with cos beta = 1 - 2 sin^2 t sin^2(delta/2).  sin t = min(1, 1 /
+    (sqrt 2 sin(delta/2))) gives the arc min(2 Theta(T), pi), the most any
+    x can give since arcs add under products.
     """
-    _, phases, vectors, _ = _relative_spectrum(f, g, tol)
     lam = np.exp(1j * phases)
     chords = np.abs(lam[:, None] - lam[None, :])
     j, k = np.unravel_index(np.argmax(chords), chords.shape)
@@ -177,29 +178,69 @@ def _wrap_rotation(f, g, tol):
     return _plane_rotation(vectors, j, k, t)
 
 
-def _case_sequential(u, v, cu, cv, tol):
-    """Cases IA (both product) and IC (both swap-type): a single-qudit
-    sequential scheme on the side whose factors differ.
+def _box_uses(arc, wrap, tol):
+    """Box uses of the scheme on a side whose factors' relative operator has
+    the spectral arc ``arc``: ceil(pi / Theta) for IA, 2 ceil(pi /
+    min(2 Theta, pi)) for the IC wrap; inf for an arc that vanishes within
+    the classification tolerance."""
+    if arc <= tol.classification:
+        return np.inf
+    if wrap:
+        return 2 * (_runs_for_arc(min(2 * arc, np.pi), tol) + 1)
+    return _runs_for_arc(arc, tol) + 1
 
-    Case IC first wraps f(X) = X (X1 (x) X2) X^dag: f(U) = U_A X2 U_A^dag (x)
-    U_B X1 U_B^dag, so the wrapped pair is a pair of product operators whose
-    chosen-side factors differ; each f use costs a reverse and a forward
-    box application.  The wrap's x is the closed-form rotation of
-    :func:`_wrap_rotation`, so IC takes 2 ceil(pi / min(2 Theta(T), pi))
-    boxes for T the relative operator of the differing factors.
+
+def _case_sequential(u, v, cu, cv, tol):
+    """Cases IA (both product) and IC (both swap-type).
+
+    IC first tries one forward run.  With U = (U_A (x) U_B) P, it maps
+    a (x) b to U_A b (x) U_B a, so the final overlap is <b|T_A|b> <a|T_B|a>
+    for T_X = U_X^dag V_X.  When Theta(T_A) reaches pi (Acin 2001), Bob's
+    input from the zero hull of T_A's spectrum decides the pair in one use,
+    Alice measuring; failing that, the same holds for T_B with the roles
+    mirrored.  T_A is tried first, whatever the margins.
+
+    Otherwise both cases run a single-qudit sequential scheme on one side:
+    the side with fewer box uses, ceil(pi / Theta(T_X)) for IA and
+    2 ceil(pi / min(2 Theta(T_X), pi)) for IC, Alice on equal counts.  A side
+    whose factors agree up to phase is never decomposed.  Case IC wraps
+    f(X) = X (X1 (x) X2) X^dag: f(U) = U_A X2 U_A^dag (x) U_B X1 U_B^dag,
+    so the wrapped pair is a pair of product operators whose chosen-side
+    factors differ; each f use costs a reverse and a forward box
+    application, and the wrap's x is the closed-form rotation of
+    :func:`_wrap_rotation`.  Every spectrum is computed once: T_X's feeds
+    the forward run, the side choice, the wrap and the IA scheme.
     """
     d = u.dims[0]
-    (ua, ub), (va, vb) = cu.factors, cv.factors
     eye = np.eye(d, dtype=complex)
-    side = ALICE if phase_distance(ua, va) > tol.classification else BOB
-    pair = (ua, va) if side == ALICE else (ub, vb)
+    idle = basis_state(0, (d,))
     wrap = cu.kind == SWAP_LOCAL
+    factors = dict(zip((ALICE, BOB), zip(cu.factors, cv.factors)))
+    spectra = {}
+    for side, (f, g) in factors.items():
+        if phase_distance(f, g) <= tol.classification:
+            continue
+        spectra[side] = _relative_spectrum(f, g, tol)
+        _, phases, vectors, arc = spectra[side]
+        found = (zero_hull_state(phases, vectors, tol)
+                 if wrap and arc >= np.pi - tol.classification else None)
+        if found is not None:
+            probe = PureState(found[0], (d,))
+            alice_in, bob_in = (idle, probe) if side == ALICE else (probe, idle)
+            return _finalize(CASE_IC, [Run(eye, eye, FORWARD)], alice_in, bob_in,
+                             u, v, tol, notes=f"one forward run, discriminating "
+                                              f"side {side}")
+    if not spectra:
+        raise OperatorsEqual("the factors agree up to a global phase on both sides")
+    side = min(spectra, key=lambda s: _box_uses(spectra[s][3], wrap, tol))
+    pair, spectrum = factors[side], spectra[side]
     if wrap:
-        x = _wrap_rotation(*pair, tol)
+        x = _wrap_rotation(*spectrum[1:3])
         x1, x2 = (eye, x) if side == ALICE else (x, eye)
         pair = tuple(UnitaryOperator(f.matrix @ x @ f.matrix.conj().T, (d,), 1e-8)
                      for f in pair)
-    scheme = find_sequential_scheme(pair[0], pair[1], tol)
+        spectrum = None
+    scheme = find_sequential_scheme(*pair, tol, spectrum=spectrum)
     runs = []
     for op in [eye] + [aux.matrix for aux in scheme.aux_ops]:
         local = (op, eye) if side == ALICE else (eye, op)
@@ -207,7 +248,6 @@ def _case_sequential(u, v, cu, cv, tol):
             runs += [Run(*local, REVERSE), Run(x1, x2, FORWARD)]
         else:
             runs.append(Run(*local, FORWARD))
-    idle = basis_state(0, (d,))
     alice_in, bob_in = (scheme.input, idle) if side == ALICE else (idle, scheme.input)
     if wrap:
         label, notes = CASE_IC, f"conjugation wrap, discriminating side {side}"

@@ -19,6 +19,7 @@ the compact text out with ``str.replace``.
 import functools
 import json
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
@@ -42,7 +43,9 @@ def vector_to_json(v):
 
 def _complex_from_pair(pair, where):
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)):
+            # JSON true and false load as bools, which are ints
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in pair)):
         raise ParseError(f"{where}: expected a [re, im] pair, got {pair!r}")
     try:
         return complex(pair[0], pair[1])
@@ -58,7 +61,16 @@ def _pairs_array(data, ndim):
         a = np.array(data)
     except (ValueError, TypeError, OverflowError):
         return None
-    if a.dtype.kind not in "biuf" or a.ndim != ndim + 1 or a.shape[-1] != 2:
+    if a.dtype.kind not in "iuf" or a.ndim != ndim + 1 or a.shape[-1] != 2:
+        return None
+    # numpy reads a JSON true or false next to numbers as 1 or 0, so the
+    # leaves of the items (along the first axis) holding a 0 or a 1 must
+    # not be bools
+    held = ((a == 0) | (a == 1)).reshape(len(a), -1).any(axis=1)
+    leaves = [data[i] for i in np.flatnonzero(held)]
+    for _ in range(ndim):
+        leaves = chain.from_iterable(leaves)
+    if bool in set(map(type, leaves)):
         return None
     # (re, im) float64 pairs are laid out as complex128: bit-identical to
     # complex(re, im), signed zeros and infinities included
@@ -89,6 +101,15 @@ def vector_from_json(data, where="vector"):
                      for j, x in enumerate(data)], dtype=complex)
 
 
+def _dims_from_json(dims, where):
+    """Tuple of the positive integers listed in ``dims``; a bool (JSON true
+    or false), a float or a string is a ParseError."""
+    if (not isinstance(dims, list) or not dims
+            or not all(type(d) is int and d >= 1 for d in dims)):
+        raise ParseError(f"{where}: 'dims' must be a list of positive integers")
+    return tuple(dims)
+
+
 def _read_object(path):
     """The JSON object stored at ``path``; any failure is a ParseError."""
     try:
@@ -110,10 +131,7 @@ def load_operator(path, tol=None):
         raise ParseError(f"{path}: missing field 'dims'")
     if "matrix" not in data:
         raise ParseError(f"{path}: missing field 'matrix'")
-    dims = data["dims"]
-    if (not isinstance(dims, list) or not dims
-            or not all(isinstance(d, int) and d >= 1 for d in dims)):
-        raise ParseError(f"{path}: 'dims' must be a list of positive integers")
+    dims = _dims_from_json(data["dims"], path)
     m = matrix_from_json(data["matrix"], where="matrix")
     size = int(np.prod(dims))
     if m.shape != (size, size):
@@ -121,7 +139,7 @@ def load_operator(path, tol=None):
             f"{path}: matrix shape {m.shape} does not match dims {dims}")
     unitarity = tol.unitarity if tol is not None else 1e-9
     try:
-        return UnitaryOperator(m, tuple(dims), tol=unitarity)
+        return UnitaryOperator(m, dims, tol=unitarity)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -223,7 +241,7 @@ def protocol_from_json(data):
         raise ParseError("not a serialized LOCC protocol (field 'kind')")
     with _fields_of("protocol"):
         runs = _runs_from_json(data["runs"])
-        dims = tuple(int(d) for d in data["dims"])
+        dims = _dims_from_json(data["dims"], "protocol")
         alice = PureState(vector_from_json(data["input_alice"], "input_alice"),
                           (dims[0],))
         bob = PureState(vector_from_json(data["input_bob"], "input_bob"),
@@ -257,7 +275,7 @@ def scheme_from_json(data):
     if data.get("kind") != "sequential_scheme":
         raise ParseError("not a serialized sequential scheme (field 'kind')")
     with _fields_of("scheme"):
-        dims = tuple(int(d) for d in data["dims"])
+        dims = _dims_from_json(data["dims"], "scheme")
         aux = tuple(UnitaryOperator(matrix_from_json(m, "aux_ops"), dims, tol=1e-6)
                     for m in data["aux_ops"])
         inp = PureState(vector_from_json(data["input"], "input"), dims)

@@ -14,8 +14,9 @@ rotation in the plane of A's two extreme eigenvectors by the closed-form
 angle that puts the extreme eigenphases of W_N exactly pi apart.  A scheme
 thus holds N - 1 copies of one U^dag and one possibly capped last op.  The
 input state comes from one eigendecomposition of the final W, recomputed
-from the real aux matrices; every scheme is certified by recomputing the
-overlap directly, and one above tolerance raises SynthesisFailed.
+from the real aux matrices (A's own when N = 0); every scheme is certified
+by recomputing the overlap directly, and one above tolerance raises
+SynthesisFailed.
 """
 
 from dataclasses import dataclass
@@ -100,7 +101,7 @@ def _unitary_factor(x, dims):
     return UnitaryOperator(w @ vh, dims, tol=1e-9)
 
 
-def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES):
+def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES, spectrum=None):
     """Construct a certified sequential scheme with N = required_runs aux ops.
 
     The first N - 1 aux ops are one shared operator U^dag, so that
@@ -108,13 +109,17 @@ def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES):
     (N + 1) delta exceeds pi; then it is V_A rot(t) V_A^dag U^dag, the
     rotation capping the extreme eigenphases of W_N exactly pi apart.  The
     input state and the overlap come from the eigendecomposition of W_N
-    recomputed from the real aux matrices; a certificate above the
-    orthogonality tolerance raises SynthesisFailed.
+    recomputed from the real aux matrices (with no aux op W_N is A itself);
+    a certificate above the orthogonality tolerance raises SynthesisFailed.
+    ``spectrum`` is ``_relative_spectrum(u, v, tol)`` when the caller has
+    already computed it, and is then not computed again.
     """
-    _, phases_a, vectors_a, theta_a = _relative_spectrum(u, v, tol)
+    if spectrum is None:
+        spectrum = _relative_spectrum(u, v, tol)
+    w, phases, vectors, theta_a = spectrum
     n = _runs_for_arc(theta_a, tol)
     dims = u.dims
-    va_ord, delta = _arc_order(phases_a, vectors_a)
+    va_ord, delta = _arc_order(phases, vectors)
     u_dag = _unitary_factor(u.matrix.conj().T, dims)
     aux = [u_dag] * n
     # N delta < pi, so only the last step can overshoot
@@ -122,12 +127,17 @@ def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES):
         rot = _plane_rotation(va_ord, 0, -1, _capped_rotation(delta, n))
         aux[-1] = _unitary_factor(rot @ u_dag.matrix, dims)
 
-    left, right = u.matrix, v.matrix
-    for x in aux:
-        left = u.matrix @ x.matrix @ left
-        right = v.matrix @ x.matrix @ right
-    w = left.conj().T @ right
-    phases, vectors = unitary_eig(w)
+    if aux:
+        # U's and V's chains as one stack: one step (U X, V X) per distinct
+        # aux op, then one matmul per use
+        stack = chain = np.stack([u.matrix, v.matrix])
+        steps = {}
+        for x in aux:
+            if id(x) not in steps:
+                steps[id(x)] = stack @ x.matrix
+            chain = steps[id(x)] @ chain
+        w = chain[0].conj().T @ chain[1]
+        phases, vectors = unitary_eig(w)
     found = zero_hull_state(phases, vectors, tol)
     overlap = np.inf if found is None else float(abs(np.vdot(found[0], w @ found[0])))
     if overlap > tol.orthogonality:

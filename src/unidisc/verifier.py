@@ -122,8 +122,9 @@ def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
     complete, simulates both branches, traces per-run second Schmidt
     coefficients, recomputes the final overlap, identifies the measuring
     party (the plan's party when its outputs separate, else Alice first),
-    and validates the measurement plan.  Failures are encoded in the report,
-    never raised.
+    and validates the measurement plan.  A protocol that fails a check is
+    encoded in the report, not raised; a box whose dimension differs from
+    the protocol's raises DimensionMismatch.
     """
     dims, plan = protocol.dims, protocol.measurement
     if not (_all_unitary([run.alice_op for run in protocol.runs], dims[0], tol)

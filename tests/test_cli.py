@@ -10,7 +10,8 @@ import pytest
 
 import unidisc
 from unidisc.cli import main
-from unidisc.core import UnitaryOperator, identity_operator, phase_distance
+from unidisc.core import (UnitaryOperator, identity_operator, phase_distance,
+                          random_unitary)
 from unidisc.exceptions import ParseError, ValidationError
 from unidisc.io import (_runs_from_json, dumps_artifact, load_operator,
                         matrix_from_json, protocol_from_json, protocol_to_json,
@@ -450,9 +451,18 @@ def _set_overlap_beyond_float(data):
     data["report"]["overlap"] = 10 ** 400
 
 
+def _set_float_dims(data):
+    data["dims"] = [2.9, 2.0]
+
+
+def _set_boolean_dims(data):
+    data["dims"] = [True, 2]
+
+
 @pytest.mark.parametrize("corrupt", [_set_runs_scalar, _set_run_as_list,
                                      _set_decision_list, _set_decision_key,
-                                     _set_one_dim, _set_overlap_beyond_float])
+                                     _set_one_dim, _set_overlap_beyond_float,
+                                     _set_float_dims, _set_boolean_dims])
 def test_cli_verify_malformed_protocol_is_parse_error(opfiles, tmp_path,
                                                       capsys, corrupt):
     out = tmp_path / "proto.json"
@@ -483,7 +493,7 @@ def _same_bits(a, b):
 
 def test_matrix_decode_is_bit_identical_to_per_entry_decode():
     text = ('[[[-0.0, 0.0], [1e308, -1e308], [NaN, -0.0]],'
-            ' [[3, -7], [true, false], [9007199254740993, 0.5]],'
+            ' [[3, -7], [-5, 2.5], [9007199254740993, 0.5]],'
             ' [[-Infinity, Infinity], [5e-324, -5e-324], [0, -0.0]]]')
     data = json.loads(text)
     want = np.array([[complex(re, im) for re, im in row] for row in data])
@@ -499,8 +509,69 @@ def test_matrix_decode_is_bit_identical_to_per_entry_decode():
             assert _same_bits(run.alice_op, ref) and _same_bits(run.bob_op, ref)
 
 
+def _booleans_for_identity(m):
+    """The [re, im] pairs of the identity with JSON true and false."""
+    return [[[i == j, False] for j in range(len(m))] for i in range(len(m))]
+
+
+def _set_identity_layers(data):
+    for run in data["runs"]:
+        for key in ("alice_op", "bob_op"):
+            if np.array_equal(matrix_from_json(run[key]), np.eye(3)):
+                run[key] = _booleans_for_identity(run[key])
+
+
+def _set_one_layer_entry(data):
+    data["runs"][1]["alice_op"][0][0] = [True, False]
+
+
+def _set_input_entry(data):
+    data["input_bob"][0][1] = False
+
+
+def _set_basis_entry(data):
+    data["measurement"]["basis"][1][2] = [0.0, True]
+
+
+@pytest.mark.parametrize("corrupt", [_set_identity_layers, _set_one_layer_entry,
+                                     _set_input_entry, _set_basis_entry])
+def test_cli_verify_booleans_in_a_protocol_are_parse_errors(tmp_path, capsys, corrupt):
+    # a d=3 case-IA protocol: its identity layers read as numbers passed verify
+    u = UnitaryOperator(np.kron(random_unitary(3, 1).matrix, np.eye(3)), (3, 3))
+    v = UnitaryOperator(np.kron(random_unitary(3, 2).matrix, np.eye(3)), (3, 3))
+    paths = [str(tmp_path / f"{name}.json") for name in ("proto", "u", "v")]
+    save_operator(paths[1], u)
+    save_operator(paths[2], v)
+    data = protocol_to_json(build_protocol(u, v))
+    assert data["case_label"] == "IA" and len(data["runs"]) >= 2
+    corrupt(data)
+    with pytest.raises(ParseError):
+        protocol_from_json(data)
+    with open(paths[0], "w") as fh:
+        json.dump(data, fh)
+    assert main(["verify", "--quiet"] + paths) == 1
+    assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("matrix", [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+    ("dims", [2, True]),
+])
+def test_cli_booleans_in_an_operator_are_parse_errors(tmp_path, capsys, field, value):
+    data = {"dims": [2], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    data[field] = value
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        load_operator(str(path))
+    assert main(["theta", str(path), "--quiet"]) == 1
+    assert "ParseError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad, message", [
     ([[[1.0, 0.0], "a"]], "matrix[0][1]: expected a [re, im] pair, got 'a'"),
+    ([[[1.0, 0.0], [True, 0.0]]],
+     "matrix[0][1]: expected a [re, im] pair, got [True, 0.0]"),
     ([[[1.0, 0.0], None]], "matrix[0][1]: expected a [re, im] pair, got None"),
     ([[[1.0, 0.0, 2.0]]], "matrix[0][0]: expected a [re, im] pair, got [1.0, 0.0, 2.0]"),
     ([[[1.0, 0.0], [1.0]]], "matrix[0][1]: expected a [re, im] pair, got [1.0]"),

@@ -8,7 +8,7 @@ import scipy.linalg
 
 import unidisc.compiler
 import unidisc.engine
-from unidisc.arc import theta
+from unidisc.arc import _relative_spectrum, theta
 from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, basis_state,
                           identity_operator, random_unitary, tensor)
 from unidisc.engine import (DecisionTree, _case_iii_label, _direction_patterns,
@@ -459,7 +459,7 @@ def test_wrap_rotation_gives_the_largest_wrapped_arc(d):
         t = (q * np.exp(1j * phases)) @ q.conj().T
         f = UnitaryOperator(random_unitary(d, 950 + k).matrix, (d,))
         g = UnitaryOperator(f.matrix @ t, (d,))
-        x = _wrap_rotation(f, g, DEFAULT_TOLERANCES)
+        x = _wrap_rotation(*_relative_spectrum(f, g, DEFAULT_TOLERANCES)[1:3])
         assert np.linalg.norm(x.conj().T @ x - np.eye(d)) < 1e-12
         wrapped = UnitaryOperator(x.conj().T @ t @ x @ t.conj().T, (d,))
         t_arc = theta(UnitaryOperator(t, (d,))).theta

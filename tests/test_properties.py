@@ -4,9 +4,10 @@ pairs at d = 3.
 
 Every drawn closed-form pair must give a protocol that the benchmark's
 numpy-only checker (``bench/checker.py``, which shares no code with the
-verifier) accepts, with the box count the case promises: ceil(pi / Theta(T))
-for IA and 2 ceil(pi / min(2 Theta(T), pi)) for IC, T the relative operator
-of the differing factors.  Every drawn IIA, IIB or Haar-Haar (case III)
+verifier) accepts, with the box count the case promises, T being the
+relative operator of the differing factors: ceil(pi / Theta(T)) for IA, and
+for IC one forward run when Theta(T) reaches pi, else
+2 ceil(pi / min(2 Theta(T), pi)).  Every drawn IIA, IIB or Haar-Haar (case III)
 pair must give a protocol the checker accepts or an honest SynthesisFailed
 / CompileFailed that carries its best error; the fixed d = 3 pairs must
 each pass the checker with two box uses, and two small-arc IIA pairs at d = 2
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import unidisc.engine as engine
 from unidisc.core import UnitaryOperator, random_unitary
 from unidisc.engine import build_protocol
 from unidisc.exceptions import (CompileFailed, OperatorsEqual, SynthesisFailed,
@@ -102,8 +104,10 @@ def test_closed_form_pairs_pass_the_checker_at_the_promised_box_count(drawn):
         assume(_clear_of_ties(arc))
         want = checker.required_box_uses(*factors)
     elif case == CASE_IC:
-        assume(_clear_of_ties(2 * arc))
-        want = 2 * int(np.ceil(np.pi / min(2 * arc, np.pi)))
+        # the other side's factors agree, so its arc is 0: one forward run
+        # when Theta(T) reaches pi, else the wrap on T's side
+        assume(_clear_of_ties(2 * arc) and abs(arc - np.pi) > 1e-6)
+        want = 1 if arc > np.pi else 2 * int(np.ceil(np.pi / min(2 * arc, np.pi)))
     else:
         want = 1
     proto = build_protocol(u, v)
@@ -235,3 +239,60 @@ def test_entangling_scope_sweep_gives_typed_outcomes(case, d, s):
         return
     assert proto.case_label == case and proto.certificate.passed
     assert checker.check_protocol(proto, u.matrix, v.matrix) == []
+
+
+def _arc_factor(d, arc, seed):
+    """Unitary of spectral arc ``arc`` (evenly spaced eigenphases from a
+    random offset, in a random basis); arc 0 gives a multiple of I."""
+    q = random_unitary(d, seed).matrix
+    phases = 0.4 * seed + arc * np.linspace(0.0, 1.0, d)
+    return (q * np.exp(1j * phases)) @ q.conj().T
+
+
+def _sided_pair(swap, d, arc_a, arc_b, seed):
+    """(U, V) = ((A (x) B) [P], (A T_A (x) B T_B) [P]) with Theta(T_X) = arc_X."""
+    a, b = (random_unitary(d, seed + k).matrix for k in (0, 1))
+    t_a, t_b = _arc_factor(d, arc_a, seed + 2), _arc_factor(d, arc_b, seed + 3)
+    p = swap_operator(d).matrix if swap else np.eye(d * d)
+    return (UnitaryOperator(np.kron(a, b) @ p, (d, d)),
+            UnitaryOperator(np.kron(a @ t_a, b @ t_b) @ p, (d, d)))
+
+
+@pytest.mark.parametrize("swap, d, arc_a, arc_b, uses, party", [
+    # IC, one forward run: T_A checked first, whatever the margins
+    (True, 3, 1.2 * np.pi, 0.5, 1, "Alice"),
+    (True, 3, 0.5, 1.2 * np.pi, 1, "Bob"),
+    (True, 3, 1.1 * np.pi, 1.2 * np.pi, 1, "Alice"),
+    (True, 4, 1.25 * np.pi, 1.5 * np.pi, 1, "Alice"),
+    (True, 2, np.pi, 0.3, 1, "Alice"),            # T_A ~ diag(1, -1)
+    # IC wrap on the cheaper side: Bob's 2 uses against Alice's 12
+    (True, 2, 0.3, 2.0, 2, "Bob"),
+    (True, 2, 2.0, 0.3, 2, "Alice"),
+    (True, 3, 0.9, 1.0, 4, "Alice"),              # equal counts keep Alice
+    # IA, both sides differ: ceil(pi / 0.5) = 7 on Alice, 4 on Bob
+    (False, 3, 0.5, 1.0, 4, "Bob"),
+    (False, 3, 1.0, 0.5, 4, "Alice"),
+    (False, 3, 0.9, 1.0, 4, "Alice"),             # equal counts keep Alice
+    # one party's factors agree up to phase: ceil(pi / 0.7) = 5, and
+    # 2 ceil(pi / 1.4) = 6 for the wrap
+    (False, 3, 0.0, 0.7, 5, "Bob"),
+    (False, 3, 0.7, 0.0, 5, "Alice"),
+    (True, 3, 0.0, 0.7, 6, "Bob"),
+    (True, 3, 0.7, 0.0, 6, "Alice"),
+    (True, 3, 0.0, 1.2 * np.pi, 1, "Bob"),
+])
+def test_closed_form_side_choice(monkeypatch, swap, d, arc_a, arc_b, uses, party):
+    u, v = _sided_pair(swap, d, arc_a, arc_b, 40 + 10 * d)
+    spectra = []
+    relative = engine._relative_spectrum
+    monkeypatch.setattr(engine, "_relative_spectrum",
+                        lambda f, g, tol: spectra.append(f) or relative(f, g, tol))
+    proto = build_protocol(u, v)
+    assert proto.case_label == (CASE_IC if swap else CASE_IA)
+    assert proto.certificate.passed and proto.box_uses == uses
+    assert proto.measurement.party == party and party in proto.notes
+    assert checker.check_protocol(proto, u.matrix, v.matrix) == []
+    # a dead side is never decomposed, nor Bob's once Alice's arc reaches pi
+    live = [arc for arc in (arc_a, arc_b) if arc > 0]
+    want = 1 if swap and arc_a >= np.pi else len(live)
+    assert len(spectra) == want

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from unidisc.arc import theta
-from unidisc.core import UnitaryOperator, identity_operator, random_unitary
+from unidisc.arc import theta, zero_hull_state
+from unidisc.core import (DEFAULT_TOLERANCES, PureState, UnitaryOperator,
+                          identity_operator, random_unitary, unitary_eig)
 from unidisc.exceptions import OperatorsEqual
 from unidisc.sequential import (SequentialScheme, evaluate_scheme,
                                 find_sequential_scheme, required_runs)
@@ -114,6 +115,23 @@ def test_scheme_is_closed_form():
     v = UnitaryOperator(u.matrix @ np.diag([1.0, np.exp(1j * np.pi / 3)]), (2,))
     aux = find_sequential_scheme(u, v).aux_ops
     assert len(aux) == 2 and np.array_equal(aux[0].matrix, aux[1].matrix)
+
+
+@pytest.mark.parametrize("box_uses, distinct", [(255.5, 2), (256, 1)],
+                         ids=["capped", "uncapped"])
+def test_stacked_chain_matches_two_separate_chains(box_uses, distinct):
+    # U's and V's chains carried apart as (U X) @ left give the same bits
+    u, v = _arc_pair(9, np.pi / box_uses, 77)
+    scheme = find_sequential_scheme(u, v)
+    assert scheme.uses == 256 and len({id(x) for x in scheme.aux_ops}) == distinct
+    left, right = u.matrix, v.matrix
+    for x in scheme.aux_ops:
+        left = u.matrix @ x.matrix @ left
+        right = v.matrix @ x.matrix @ right
+    w = left.conj().T @ right
+    psi, _ = zero_hull_state(*unitary_eig(w), DEFAULT_TOLERANCES)
+    assert np.array_equal(scheme.input.amplitudes, PureState(psi, u.dims).amplitudes)
+    assert scheme.overlap == float(abs(np.vdot(psi, w @ psi)))
 
 
 @pytest.mark.parametrize("d", range(2, 10))
