@@ -570,13 +570,13 @@ def test_cli_booleans_in_an_operator_are_parse_errors(tmp_path, capsys, field, v
 
 @pytest.mark.parametrize("bad, message", [
     ([[[1.0, 0.0], "a"]], "matrix[0][1]: expected a [re, im] pair, got 'a'"),
-    ([[[1.0, 0.0], [True, 0.0]]],
-     "matrix[0][1]: expected a [re, im] pair, got [True, 0.0]"),
     ([[[1.0, 0.0], None]], "matrix[0][1]: expected a [re, im] pair, got None"),
     ([[[1.0, 0.0, 2.0]]], "matrix[0][0]: expected a [re, im] pair, got [1.0, 0.0, 2.0]"),
     ([[[1.0, 0.0], [1.0]]], "matrix[0][1]: expected a [re, im] pair, got [1.0]"),
     ([[[1, 0]], [[1, 0], [0, 1]]], "matrix: rows differ in length"),
     ([[[1, 0], [10 ** 400, 0]]], "matrix[0][1]: [re, im] pair beyond float range"),
+    ([[[1.0, 0.0], [True, 0.0]]],
+     "matrix[0][1]: expected a [re, im] pair, got [True, 0.0]"),
 ])
 def test_matrix_decode_errors(bad, message):
     with pytest.raises(ParseError) as info:
