@@ -8,7 +8,6 @@ eigenvalues of U^dag V summing to zero.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -28,37 +27,39 @@ class SpectralArc:
 
 
 def _merge_circular(phases, tol):
-    """Cluster sorted phases on the circle, merging gaps <= tol.
+    """Cluster phases on the circle, merging gaps <= tol.
 
-    Returns representative phases (cluster means), sorted ascending in
-    [0, 2 pi).  The wrap-around pair of clusters is merged when the circular
-    gap between them is <= tol.
+    Returns ``(reps, firsts)``: the representative phases (cluster means),
+    sorted ascending in [0, 2 pi), and for each cluster the index into
+    ``phases`` of its lowest member in [0, 2 pi), ascending in that phase.
+    The wrap-around pair of clusters is merged when the circular gap between
+    them is <= tol.
     """
-    phases = np.sort(np.mod(np.asarray(phases, dtype=float), TWO_PI))
-    if phases.size == 0:
-        return phases
-    groups = [[phases[0]]]
-    for p in phases[1:]:
+    phases = np.mod(np.asarray(phases, dtype=float), TWO_PI)
+    order = np.argsort(phases, kind="stable")
+    phases = phases[order]
+    groups, heads = [[phases[0]]], [0]
+    for k, p in enumerate(phases[1:], 1):
         if p - groups[-1][-1] <= tol:
             groups[-1].append(p)
         else:
             groups.append([p])
+            heads.append(k)
     if len(groups) > 1 and (TWO_PI - groups[-1][-1] + groups[0][0]) <= tol:
         # wrap-around merge: shift the last group below zero
-        first = [p - TWO_PI for p in groups.pop()] + groups[0]
-        groups[0] = first
+        groups[0] = [p - TWO_PI for p in groups.pop()] + groups[0]
+        heads.pop()
     reps = np.mod(np.array([np.mean(g) for g in groups]), TWO_PI)
     # a wrapped cluster's mean can be a tiny negative value that mod maps to 2 pi
     reps[reps > TWO_PI - 1e-12] = 0.0
-    return np.sort(reps)
+    return np.sort(reps), order[heads]
 
 
 def _arc_of_phases(phases, tol):
     """(theta, largest_gap, start, reps) for merged representative phases."""
-    reps = _merge_circular(phases, tol)
-    if reps.size <= 1:
-        start = float(reps[0]) if reps.size else 0.0
-        return 0.0, TWO_PI, start, reps
+    reps = _merge_circular(phases, tol)[0]
+    if reps.size == 1:
+        return 0.0, TWO_PI, float(reps[0]), reps
     gaps = np.diff(np.concatenate([reps, [reps[0] + TWO_PI]]))
     k = int(np.argmax(gaps))
     largest = float(gaps[k])
@@ -102,42 +103,26 @@ def single_run_discriminable(u, v, tol=DEFAULT_TOLERANCES):
 def zero_hull_state(phases, vectors, tol=DEFAULT_TOLERANCES):
     """State |psi> = sum sqrt(p_j) |e_j> with sum p_j e^{i phase_j} ~ 0.
 
-    Searches the eigenvalues for (a) an antipodal pair, giving a two-point
-    combination, or (b) a phase-sorted triple whose triangle contains the
-    origin, solved exactly and selected by maximal containment margin.
-    Returns ``(amplitudes, certified_overlap)`` or ``None`` when the origin
+    Picked in closed form, by threshold comparisons alone, from the lowest
+    member of each merged phase, r_0 = s, r_1, ... in phase order:
+    (a) the first pair i < j within 2e-9 of antipodal, as a two-point state;
+    (b) else the triangle (s, r_m, r_{m+1}), r_m the last representative
+        within pi of s, when r_{m+1} - r_m <= pi.  A triangle on the circle
+        holds the origin iff each of its three arcs is at most pi: s -> r_m
+        and r_{m+1} -> s are by the choice of m, and r_m -> r_{m+1} is a gap,
+        at most 2 pi - Theta.  So the triangle exists whenever Theta > pi
+        (Theta = pi is case (a)); its weights solve a 3x3 system;
+    (c) else the first pair within the classification tolerance of
+        antipodal, if its two-point value is within the orthogonality one.
+    Returns ``(amplitudes, certified_overlap)``, or ``None`` when the origin
     is outside the convex hull.
     """
-    phases = np.asarray(phases, dtype=float)
+    phases = np.mod(np.asarray(phases, dtype=float), TWO_PI)
+    phases[phases > TWO_PI - 1e-12] = 0.0
     lam = np.exp(1j * phases)
-    # one representative index per merged phase keeps triples non-singular
-    reps = []
-    for j in np.argsort(phases, kind="stable"):
-        dup = False
-        for r in reps:
-            diff = abs(phases[j] - phases[r])
-            if min(diff, TWO_PI - diff) <= tol.classification:
-                dup = True
-                break
-        if not dup:
-            reps.append(j)
-
-    def two_point(i, j):
-        # optimal real weight for |p lam_i + (1-p) lam_j| minimal
-        d = lam[i] - lam[j]
-        denom = abs(d) ** 2
-        if denom < 1e-30:
-            return None
-        p = float(np.clip(-np.real(np.conj(d) * lam[j]) / denom, 0.0, 1.0))
-        value = abs(p * lam[i] + (1 - p) * lam[j])
-        return p, value
-
-    best_pair, best_defect = None, np.inf
-    for i, j in combinations(reps, 2):
-        diff = abs(phases[i] - phases[j])
-        defect = abs(min(diff, TWO_PI - diff) - np.pi)
-        if defect < best_defect:
-            best_pair, best_defect = (i, j), defect
+    reps = _merge_circular(phases, tol.classification)[1]
+    sep = np.abs(phases[reps, None] - phases[reps])
+    defect = np.abs(np.minimum(sep, TWO_PI - sep) - np.pi)
 
     def build(indices, weights):
         psi = np.zeros(vectors.shape[0], dtype=complex)
@@ -147,35 +132,28 @@ def zero_hull_state(phases, vectors, tol=DEFAULT_TOLERANCES):
         overlap = abs(np.sum([w * lam[idx] for idx, w in zip(indices, weights)]))
         return psi, float(overlap)
 
-    # near-exact antipodal pair: prefer the sparse two-point state
-    if best_pair is not None and best_defect <= 2e-9:
-        p, _ = two_point(*best_pair)
-        return build(best_pair, [p, 1 - p])
+    def pair_state(band):
+        # the first pair within ``band`` of antipodal, weighted so that
+        # |p lam_i + (1-p) lam_j| is minimal
+        hits = np.argwhere(np.triu(defect <= band, 1))
+        if hits.size == 0:
+            return None
+        i, j = reps[hits[0]]
+        d = lam[i] - lam[j]
+        p = float(np.clip(-np.real(np.conj(d) * lam[j]) / abs(d) ** 2, 0.0, 1.0))
+        return build((i, j), [p, 1 - p])
 
-    # triples containing the origin strictly, picked by max margin
-    best_triple, best_margin, best_weights = None, 1e-12, None
-    for tri in combinations(reps, 3):
-        a = np.array([
-            [lam[tri[0]].real, lam[tri[1]].real, lam[tri[2]].real],
-            [lam[tri[0]].imag, lam[tri[1]].imag, lam[tri[2]].imag],
-            [1.0, 1.0, 1.0],
-        ])
-        try:
-            p = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
-        except np.linalg.LinAlgError:
-            continue
-        margin = float(np.min(p))
-        if margin > best_margin:
-            best_triple, best_margin, best_weights = tri, margin, p
-    if best_triple is not None:
-        return build(best_triple, best_weights)
-
-    # boundary case: antipodal within the classification tolerance
-    if best_pair is not None and best_defect <= tol.classification:
-        p, value = two_point(*best_pair)
-        if value <= tol.orthogonality:
-            return build(best_pair, [p, 1 - p])
-    return None
+    found = pair_state(2e-9)
+    if found is not None:
+        return found
+    offsets = phases[reps] - phases[reps[0]]
+    m = np.count_nonzero(offsets <= np.pi) - 1
+    if m + 1 < reps.size and offsets[m + 1] - offsets[m] <= np.pi:
+        tri = reps[[0, m, m + 1]]
+        a = np.array([lam[tri].real, lam[tri].imag, np.ones(3)])
+        return build(tri, np.linalg.solve(a, [0.0, 0.0, 1.0]))
+    found = pair_state(tol.classification)
+    return found if found is not None and found[1] <= tol.orthogonality else None
 
 
 def discriminating_state(u, v, tol=DEFAULT_TOLERANCES):

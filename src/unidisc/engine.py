@@ -447,7 +447,7 @@ def _synthesize_entangling(u, v, kinds, tol, seed, max_boxes):
                         for k, box in enumerate(pattern)]
                 return _finalize(label, runs, PureState(a_vec[0], (d,)),
                                  PureState(b_vec[0], (d,)), u, v, tol)
-    uses = _runs_for_arc(arc, tol) + 1 if arc > tol.classification else np.inf
+    uses = _box_uses(arc, False, tol)
     reason = (f"best residual {best:.3e}" if np.isfinite(best) else
               f"the arc bound rules out every depth searched, up to "
               f"{max_boxes}, since ceil(pi/Theta) = {uses:.0f}")

@@ -242,6 +242,8 @@ def protocol_from_json(data):
     with _fields_of("protocol"):
         runs = _runs_from_json(data["runs"])
         dims = _dims_from_json(data["dims"], "protocol")
+        if len(dims) != 2:
+            raise ParseError("protocol: 'dims' must list the two parties' dimensions")
         alice = PureState(vector_from_json(data["input_alice"], "input_alice"),
                           (dims[0],))
         bob = PureState(vector_from_json(data["input_bob"], "input_bob"),

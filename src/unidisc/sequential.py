@@ -26,6 +26,7 @@ import numpy as np
 from .arc import _arc_of_phases, _relative_spectrum, zero_hull_state
 from .core import DEFAULT_TOLERANCES, PureState, TWO_PI, UnitaryOperator, unitary_eig
 from .exceptions import DimensionMismatch, OperatorsEqual, SynthesisFailed
+from .locality import _unitarize
 
 _CEIL_NUDGE = 1e-9  # protects exact ratios like pi / (pi/3) from float drift
 
@@ -97,8 +98,7 @@ def _plane_rotation(vectors, j, k, t):
 def _unitary_factor(x, dims):
     """Polar factor of x as a validated operator, so that chain products
     stay exactly unitary."""
-    w, _, vh = np.linalg.svd(x)
-    return UnitaryOperator(w @ vh, dims, tol=1e-9)
+    return UnitaryOperator(_unitarize(x), dims, tol=1e-9)
 
 
 def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES, spectrum=None):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from unidisc.arc import discriminating_state, single_run_discriminable, theta
-from unidisc.core import UnitaryOperator, identity_operator, random_unitary
+from unidisc.arc import (discriminating_state, single_run_discriminable, theta,
+                         zero_hull_state)
+from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, _canonical_vector_phase,
+                          identity_operator, random_unitary, unitary_eig)
 from unidisc.exceptions import NotSingleRunDiscriminable, OperatorsEqual
 
 from conftest import SX, SZ, arc_brute_force
@@ -138,3 +141,81 @@ def test_discriminating_state_certificate_property():
         count += 1
     assert count > 10
     del rng
+
+
+def _schur_eig(m):
+    """unitary_eig's phases and vectors from a complex Schur form instead."""
+    t, z = scipy.linalg.schur(m, output="complex")
+    phases = np.mod(np.angle(np.diagonal(t)), 2 * np.pi)
+    phases[phases > 2 * np.pi - 1e-12] = 0.0
+    order = np.argsort(phases, kind="stable")
+    return phases[order], np.array([_canonical_vector_phase(z[:, j]) for j in order]).T
+
+
+def _support(phases, vectors):
+    """Eigen-indices and amplitudes of the zero-hull state, or None."""
+    found = zero_hull_state(phases, vectors, DEFAULT_TOLERANCES)
+    if found is None:
+        return None
+    weights = np.abs(vectors.conj().T @ found[0]) ** 2
+    return tuple(np.flatnonzero(weights > 1e-12)), weights, found[0]
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_zero_hull_state_agrees_across_eigensolvers(d):
+    # evenly spaced phases over 1.25 pi, the one-use IA shape whose mirror
+    # triples tie to rounding
+    for seed in range(10):
+        q = random_unitary(d, seed).matrix
+        shift = np.random.default_rng(seed).uniform(0.0, 2 * np.pi)
+        w = (q * np.exp(1j * (np.linspace(0.0, 1.25 * np.pi, d) + shift))) @ q.conj().T
+        cayley, schur = _support(*unitary_eig(w)), _support(*_schur_eig(w))
+        assert cayley[0] == schur[0], seed
+        np.testing.assert_allclose(cayley[2], schur[2], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("d", range(3, 10))
+def test_zero_hull_state_ignores_one_ulp(d):
+    rng = np.random.default_rng(d)
+    for phases in (np.linspace(0.0, 1.25 * np.pi, d),
+                   np.sort(rng.uniform(0.0, 2 * np.pi, d)),
+                   np.sort(rng.uniform(0.0, 2 * np.pi, d))):
+        want = _support(phases, np.eye(d))
+        for direction in (np.inf, -np.inf):
+            got = _support(np.nextafter(phases, direction), np.eye(d))
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got[0] == want[0]
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_zero_hull_state_sweep(d):
+    rng = np.random.default_rng(100 + d)
+    tol = DEFAULT_TOLERANCES
+    seen = set()
+    for _ in range(300):
+        phases = np.sort(rng.uniform(0.0, 2 * np.pi, d))
+        arc = theta(diag_op(phases)).theta
+        found = _support(phases, np.eye(d))
+        if arc >= np.pi:
+            indices, weights, _ = found
+            assert len(indices) <= 3
+            assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12
+            assert abs(np.sum(weights * np.exp(1j * phases))) <= 1e-12
+            seen.add(True)
+        elif arc < np.pi - tol.classification:
+            assert found is None
+            seen.add(False)
+    assert seen == ({True, False} if d >= 3 else {False})
+    # an arc 5e-9 short of pi: the endpoint pair, at the boundary
+    phases = np.concatenate([[0.0], np.sort(rng.uniform(0.5, 2.5, d - 2)),
+                             [np.pi - 5e-9]])
+    indices, weights, psi = _support(phases, np.eye(d))
+    assert indices == (0, d - 1)
+    assert abs(np.vdot(psi, np.exp(1j * phases) * psi)) <= tol.orthogonality
+    # an exactly antipodal pair inside an arc wider than pi
+    if d >= 4:
+        phases = np.concatenate([[0.0, 1.0, 2.5, 1.0 + np.pi],
+                                 np.linspace(4.5, 4.9, d - 4)])
+        assert theta(diag_op(phases)).theta > np.pi + 0.1
+        assert _support(phases, np.eye(d))[0] == (1, 3)

@@ -459,10 +459,19 @@ def _set_boolean_dims(data):
     data["dims"] = [True, 2]
 
 
+def _set_three_dims(data):
+    data["dims"] = [2, 2, 2]
+
+
+def _set_trailing_unit_dim(data):
+    data["dims"] = [2, 2, 1]
+
+
 @pytest.mark.parametrize("corrupt", [_set_runs_scalar, _set_run_as_list,
                                      _set_decision_list, _set_decision_key,
                                      _set_one_dim, _set_overlap_beyond_float,
-                                     _set_float_dims, _set_boolean_dims])
+                                     _set_float_dims, _set_boolean_dims,
+                                     _set_three_dims, _set_trailing_unit_dim])
 def test_cli_verify_malformed_protocol_is_parse_error(opfiles, tmp_path,
                                                       capsys, corrupt):
     out = tmp_path / "proto.json"
@@ -476,6 +485,15 @@ def test_cli_verify_malformed_protocol_is_parse_error(opfiles, tmp_path,
     code = main(["verify", str(out), opfiles["identity"], opfiles["swap"]])
     assert code == 1
     assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", [[2], [2, 2, 2], [2, 2, 1]])
+def test_protocol_dims_must_name_two_parties(dims):
+    data = protocol_to_json(build_protocol(identity_operator((2, 2)),
+                                           swap_operator(2)))
+    data["dims"] = dims
+    with pytest.raises(ParseError, match="'dims'"):
+        protocol_from_json(data)
 
 
 def test_protocol_with_zero_runs_loads():
