@@ -55,17 +55,22 @@ def _merge_circular(phases, tol):
     return np.sort(reps), order[heads]
 
 
-def _arc_of_phases(phases, tol):
-    """(theta, largest_gap, start, reps) for merged representative phases."""
-    reps = _merge_circular(phases, tol)[0]
-    if reps.size == 1:
-        return 0.0, TWO_PI, float(reps[0]), reps
-    gaps = np.diff(np.concatenate([reps, [reps[0] + TWO_PI]]))
+def _widest_gap(phases):
+    """(k, gap): the widest circular gap of ascending phases in [0, 2 pi),
+    which closes at ``phases[k]``; the arc runs from ``phases[k]`` round to
+    ``phases[k - 1]``.  An arc below pi leaves one gap wider than pi, so no
+    float tie can move its ends."""
+    gaps = np.diff(np.concatenate([phases, [phases[0] + TWO_PI]]))
     k = int(np.argmax(gaps))
-    largest = float(gaps[k])
-    theta_val = TWO_PI - largest
-    start = float(reps[(k + 1) % reps.size])
-    return theta_val, largest, start, reps
+    return (k + 1) % len(phases), float(gaps[k])
+
+
+def _arc_of_phases(phases, tol):
+    """(theta, largest_gap, reps) for merged representative phases; one
+    cluster gives theta exactly 0."""
+    reps = _merge_circular(phases, tol)[0]
+    largest = TWO_PI if reps.size == 1 else _widest_gap(reps)[1]
+    return TWO_PI - largest, largest, reps
 
 
 def theta(u, tol=DEFAULT_TOLERANCES):
@@ -74,8 +79,7 @@ def theta(u, tol=DEFAULT_TOLERANCES):
     Eigenphases closer than the classification tolerance are merged before
     gap computation so numerical scatter cannot split a degenerate phase.
     """
-    phases, _ = unitary_eig(u)
-    theta_val, largest, _, reps = _arc_of_phases(phases, tol.classification)
+    theta_val, largest, reps = _arc_of_phases(unitary_eig(u)[0], tol.classification)
     return SpectralArc(tuple(float(p) for p in reps), largest, theta_val)
 
 

@@ -12,8 +12,8 @@ Dispatch follows the locality classes of the pair:
   operator has arc pi; otherwise it is IA on the wrapped pair
   f(X) = X (X1 (x) X2) X^dag, which is product, and each f use costs a
   reverse and a forward box application.  The wrap's local unitary is a
-  closed-form rotation in the plane of the two farthest apart eigenvectors
-  of the chosen side's relative operator.
+  closed-form rotation in the plane of the eigenvectors at the two ends of
+  the arc of the chosen side's relative operator.
 * one or both entangling (cases II*, III*): the flat run list (local layers,
   box directions, product input) is synthesized directly by seeded
   least-squares over the layer group, with residuals enforcing (a) a
@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arc import _relative_spectrum, zero_hull_state
+from .arc import _relative_spectrum, _widest_gap, zero_hull_state
 from .compiler import (_SYNTH_PASS, _layer_kernel, _solve_lockstep,
                        compile_word, evaluate_word)
 from .core import (DEFAULT_TOLERANCES, PureState, Tolerances, UnitaryOperator,
@@ -165,16 +165,17 @@ def _wrap_rotation(phases, vectors):
     eigenphases and eigenvectors of T = f^dag g.
 
     The wrapped relative operator is similar to x^dag T x T^dag.  For x the
-    rotation by t in the plane of the eigenvectors of T's two farthest
-    apart eigenvalues (chord 2 sin(delta/2)), it has eigenphases +-beta and
-    0 with cos beta = 1 - 2 sin^2 t sin^2(delta/2).  sin t = min(1, 1 /
-    (sqrt 2 sin(delta/2))) gives the arc min(2 Theta(T), pi), the most any
-    x can give since arcs add under products.
+    rotation by t in the plane of the eigenvectors at the ends of T's arc
+    (chord 2 sin(delta/2)), it has eigenphases +-beta and 0 with cos beta =
+    1 - 2 sin^2 t sin^2(delta/2).  sin t = min(1, 1 / (sqrt 2 sin(delta/2)))
+    gives the arc min(2 Theta(T), pi), the most any x can give since arcs
+    add under products.  A side is wrapped only when Theta(T) < pi, where
+    the ends, read from the one gap wider than pi, are the farthest apart.
     """
+    k = _widest_gap(phases)[0]
+    j, k = sorted(((k - 1) % len(phases), k))
     lam = np.exp(1j * phases)
-    chords = np.abs(lam[:, None] - lam[None, :])
-    j, k = np.unravel_index(np.argmax(chords), chords.shape)
-    t = np.arcsin(min(1.0, np.sqrt(2.0) / chords[j, k]))
+    t = np.arcsin(min(1.0, np.sqrt(2.0) / np.abs(lam[j] - lam[k])))
     return _plane_rotation(vectors, j, k, t)
 
 

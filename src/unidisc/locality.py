@@ -182,8 +182,8 @@ def classify(u, tol=DEFAULT_TOLERANCES):
         return LocalityClass(PRODUCT_LOCAL, factors=(
             UnitaryOperator(a, (d,)), UnitaryOperator(b, (d,))),
             schmidt_values=values)
-    p = swap_operator(d).matrix
-    up = u.matrix @ p
+    # U P: column (i, j) is U's column (j, i)
+    up = u.matrix[:, np.arange(d * d).reshape(d, d).T.ravel()]
     left, s_swap, right = np.linalg.svd(_realign(up, d))
     if s_swap[1] / s_swap[0] <= tol.classification:
         a, b = _extract_factors(up, d, left, right)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arc import _arc_of_phases, _relative_spectrum, zero_hull_state
+from .arc import _relative_spectrum, _widest_gap, zero_hull_state
 from .core import DEFAULT_TOLERANCES, PureState, TWO_PI, UnitaryOperator, unitary_eig
 from .exceptions import DimensionMismatch, OperatorsEqual, SynthesisFailed
 from .locality import _unitarize
@@ -55,21 +55,6 @@ def _runs_for_arc(theta_val, tol):
 def required_runs(u, v, tol=DEFAULT_TOLERANCES):
     """N = ceil(pi / Theta(U^dag V)) - 1 auxiliary operations."""
     return _runs_for_arc(_relative_spectrum(u, v, tol)[3], tol)
-
-
-def _arc_order(phases, vectors):
-    """Eigenvectors of a unitary ordered along its spectral arc.
-
-    Returns (vectors_ordered, arc_length), the order being that of the phase
-    offsets from the arc start.  Raw phases are used; offsets within 1e-9 of
-    a full turn are folded back to zero so numerically split degenerate
-    eigenvalues stay at the arc start.
-    """
-    start = _arc_of_phases(phases, 1e-12)[2]
-    offsets = np.mod(phases - start, TWO_PI)
-    offsets[offsets > TWO_PI - 1e-9] = 0.0
-    order = np.argsort(offsets, kind="stable")
-    return vectors[:, order], float(offsets[order][-1])
 
 
 def _capped_rotation(delta, n):
@@ -107,8 +92,10 @@ def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES, spectrum=None):
     The first N - 1 aux ops are one shared operator U^dag, so that
     W_k = A^{k+1} with A = U^dag V.  The last is U^dag too unless
     (N + 1) delta exceeds pi; then it is V_A rot(t) V_A^dag U^dag, the
-    rotation capping the extreme eigenphases of W_N exactly pi apart.  The
-    input state and the overlap come from the eigendecomposition of W_N
+    rotation in the plane of A's arc ends that caps the extreme eigenphases
+    of W_N exactly pi apart.  N >= 1 puts the arc below pi, so its ends,
+    read from the one gap wider than pi, admit no float tie.  The input
+    state and the overlap come from the eigendecomposition of W_N
     recomputed from the real aux matrices (with no aux op W_N is A itself);
     a certificate above the orthogonality tolerance raises SynthesisFailed.
     ``spectrum`` is ``_relative_spectrum(u, v, tol)`` when the caller has
@@ -119,23 +106,24 @@ def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES, spectrum=None):
     w, phases, vectors, theta_a = spectrum
     n = _runs_for_arc(theta_a, tol)
     dims = u.dims
-    va_ord, delta = _arc_order(phases, vectors)
+    k = _widest_gap(phases)[0]       # A's arc: phases[k] round to phases[k - 1]
+    delta = float(np.mod(phases[k - 1] - phases[k], TWO_PI))
     u_dag = _unitary_factor(u.matrix.conj().T, dims)
     aux = [u_dag] * n
     # N delta < pi, so only the last step can overshoot
     if n and (n + 1) * delta > np.pi + 1e-12:
-        rot = _plane_rotation(va_ord, 0, -1, _capped_rotation(delta, n))
+        # columns rolled into arc order: the ends are first and last
+        rot = _plane_rotation(np.roll(vectors, -k, axis=1), 0, -1,
+                              _capped_rotation(delta, n))
         aux[-1] = _unitary_factor(rot @ u_dag.matrix, dims)
 
     if aux:
-        # U's and V's chains as one stack: one step (U X, V X) per distinct
-        # aux op, then one matmul per use
+        # U's and V's chains as one stack, one (U X, V X) step per distinct X
         stack = chain = np.stack([u.matrix, v.matrix])
-        steps = {}
-        for x in aux:
-            if id(x) not in steps:
-                steps[id(x)] = stack @ x.matrix
-            chain = steps[id(x)] @ chain
+        step = stack @ u_dag.matrix
+        for _ in aux[:-1]:
+            chain = step @ chain
+        chain = stack @ aux[-1].matrix @ chain
         w = chain[0].conj().T @ chain[1]
         phases, vectors = unitary_eig(w)
     found = zero_hull_state(phases, vectors, tol)

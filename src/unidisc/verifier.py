@@ -27,13 +27,14 @@ class VerificationReport:
     """Recomputed certificate for one protocol and one operator pair.
 
     ``passed`` is exactly: every local operation unitary within
-    tol.unitarity, overlap <= tol, schmidt_second_max <= tol (orthogonality
-    tolerance) and ``measurement_ok``, which holds when the basis is
-    complete, the plan names a party whose outputs separate and only
-    outcomes of its basis, and U lands on the outcomes the decision map
-    sends to "U" and V on every other outcome, each with probability at
-    least 1 - tol.  When a local operation is not unitary nothing is
-    simulated and the numeric fields are NaN.
+    tol.unitarity, overlap <= tol, schmidt_second_max <= tol,
+    norm_deviation <= tol (orthogonality tolerance; a box that shrinks
+    states would make the first two vacuous) and ``measurement_ok``, which
+    holds when the basis is complete, the plan names a party whose outputs
+    separate and only outcomes of its basis, and U lands on the outcomes
+    the decision map sends to "U" and V on every other outcome, each with
+    probability at least 1 - tol.  When a local operation is not unitary
+    nothing is simulated and the numeric fields are NaN.
     """
 
     overlap: float
@@ -124,9 +125,14 @@ def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
     party (the plan's party when its outputs separate, else Alice first),
     and validates the measurement plan.  A protocol that fails a check is
     encoded in the report, not raised; a box whose dimension differs from
-    the protocol's raises DimensionMismatch.
+    the protocol's, or an operator whose party split does, raises
+    DimensionMismatch.
     """
     dims, plan = protocol.dims, protocol.measurement
+    for box in (u, v):
+        if isinstance(box, UnitaryOperator) and box.dims != dims:
+            raise DimensionMismatch(f"operator dims {list(box.dims)} vs "
+                                    f"protocol dims {list(dims)}")
     if not (_all_unitary([run.alice_op for run in protocol.runs], dims[0], tol)
             and _all_unitary([run.bob_op for run in protocol.runs], dims[1], tol)):
         nan = float("nan")
@@ -167,6 +173,7 @@ def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
 
     passed = bool(overlap <= tol.orthogonality
                   and schmidt_max <= tol.orthogonality
+                  and norm_dev <= tol.orthogonality
                   and measurement_ok)
     return VerificationReport(
         overlap=overlap,

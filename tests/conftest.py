@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from unidisc.core import (TWO_PI, UnitaryOperator, identity_operator,
+from unidisc.core import (TWO_PI, PureState, UnitaryOperator,
+                          gram_schmidt_basis, identity_operator,
                           random_unitary, tensor)
 from unidisc.locality import swap_operator
+from unidisc.protocol import ALICE, BOB, FORWARD, LoccProtocol, MeasurementPlan, Run
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -15,6 +17,26 @@ HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT_MAT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                     dtype=complex)
 CZ_MAT = np.diag([1, 1, 1, -1]).astype(complex)
+ISWAP_MAT = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+
+
+def split_iswap_protocol(dims):
+    """One forward run with identity layers telling I from iSWAP on C^4
+    under the party split ``dims`` ((1, 4) or (4, 1)), not the gates' (2, 2).
+
+    The input (e_i + i e_{-i}) / sqrt 2, from iSWAP's eigenvectors for +i
+    and -i, has second Schmidt coefficient 1/sqrt 2 across 2 x 2; the party
+    holding all of C^4 measures a basis that starts with the two outputs.
+    """
+    e_plus = np.array([0, 1, 1, 0]) / np.sqrt(2)
+    e_minus = np.array([0, 1, -1, 0]) / np.sqrt(2)
+    psi = (e_plus + 1j * e_minus) / np.sqrt(2)
+    basis = gram_schmidt_basis([psi, ISWAP_MAT @ psi], 4)
+    whole, unit = PureState(psi, (4,)), PureState(np.ones(1), (1,))
+    layers = (np.eye(1), np.eye(4)) if dims[0] == 1 else (np.eye(4), np.eye(1))
+    inputs, party = ((unit, whole), BOB) if dims[0] == 1 else ((whole, unit), ALICE)
+    return LoccProtocol("IIA", (Run(*layers, FORWARD),), *inputs,
+                        MeasurementPlan(party, basis))
 
 
 @pytest.fixture

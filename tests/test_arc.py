@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from unidisc.arc import (discriminating_state, single_run_discriminable, theta,
-                         zero_hull_state)
-from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, _canonical_vector_phase,
-                          identity_operator, random_unitary, unitary_eig)
+from unidisc.arc import (_arc_of_phases, _widest_gap, discriminating_state,
+                         single_run_discriminable, theta, zero_hull_state)
+from unidisc.core import (DEFAULT_TOLERANCES, TWO_PI, UnitaryOperator,
+                          _canonical_vector_phase, identity_operator,
+                          random_unitary, unitary_eig)
 from unidisc.exceptions import NotSingleRunDiscriminable, OperatorsEqual
 
 from conftest import SX, SZ, arc_brute_force
@@ -42,6 +43,29 @@ def test_cluster_across_zero_merges_to_one_representative_at_zero(d):
     assert list(reps) == sorted(reps)
     assert all(0.0 <= r < 2 * np.pi for r in reps)
     assert abs(arc.theta - (others[-1] if others else 0.0)) < 1e-8
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_widest_gap_closes_at_the_arc_start(d):
+    # arcs below pi; every other one starts less than its length below
+    # 2 pi, so that it wraps through phase 0
+    rng = np.random.default_rng(200 + d)
+    wrapped = 0
+    for trial in range(300):
+        arc = rng.uniform(0.01, np.pi - 0.01)
+        lo = TWO_PI - arc if trial % 2 else 0.0
+        start = rng.uniform(lo, TWO_PI)
+        offsets = np.concatenate([[0.0, arc], arc * rng.uniform(0.0, 1.0, d - 2)])
+        ends = np.mod(start + offsets[:2], TWO_PI)
+        phases = np.sort(np.mod(start + offsets, TWO_PI))
+        wrapped += ends[1] < ends[0]
+        k, gap = _widest_gap(phases)
+        assert (phases[k], phases[k - 1]) == tuple(ends)
+        assert abs(gap - (TWO_PI - arc)) <= 1e-12
+        if np.diff(phases, append=phases[0] + TWO_PI).min() > DEFAULT_TOLERANCES.classification:
+            theta_val, largest, _ = _arc_of_phases(phases, DEFAULT_TOLERANCES.classification)
+            assert largest == gap and theta_val == TWO_PI - gap
+    assert wrapped >= 100
 
 
 def test_theta_three_phases():

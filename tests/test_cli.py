@@ -19,8 +19,8 @@ from unidisc.io import (_runs_from_json, dumps_artifact, load_operator,
 from unidisc.locality import swap_operator
 from unidisc.engine import build_protocol
 
-from conftest import (CNOT_MAT, ENTANGLING_PAIRS, SZ, haar_two_qudit,
-                      product_operator, swap_type_operator)
+from conftest import (CNOT_MAT, ENTANGLING_PAIRS, ISWAP_MAT, SZ, haar_two_qudit,
+                      product_operator, split_iswap_protocol, swap_type_operator)
 
 
 @pytest.fixture
@@ -309,6 +309,19 @@ def test_cli_verify_fails_corrupted_layer_or_basis(opfiles, tmp_path, capsys,
     code = main(["verify", str(out), opfiles["szI"], opfiles["identity"]])
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_verify_operators_split_other_than_the_protocol_exit_1(opfiles, tmp_path,
+                                                                  capsys):
+    # a protocol file whose dims are [1, 4] against gates saved with [2, 2]
+    out = tmp_path / "proto.json"
+    out.write_text(dumps_artifact(protocol_to_json(split_iswap_protocol((1, 4)))))
+    save_operator(tmp_path / "iswap.json", UnitaryOperator(ISWAP_MAT, (2, 2)))
+    code = main(["verify", str(out), opfiles["identity"], str(tmp_path / "iswap.json")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("DimensionMismatch: ") and captured.err.count("\n") == 1
 
 
 def test_cli_multi(opfiles, capsys):

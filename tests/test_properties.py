@@ -11,8 +11,10 @@ for IC one forward run when Theta(T) reaches pi, else
 pair must give a protocol the checker accepts or an honest SynthesisFailed
 / CompileFailed that carries its best error; the fixed d = 3 pairs must
 each pass the checker with two box uses, and two small-arc IIA pairs at d = 2
-must pass it with 11 and 10.  The examples are derandomized, so the sweeps
-are the same on every run.
+must pass it with 11 and 10.  IA and IC pairs at d = 3..5 whose T repeats
+an eigenphase exactly at an end of its arc must pass the checker at the
+promised box count too.  The examples are derandomized, so the sweeps are
+the same on every run.
 """
 
 import importlib.util
@@ -124,6 +126,41 @@ def test_phase_shifted_duplicates_are_equal(drawn, phase):
     _, u, _, _, _ = drawn
     with pytest.raises(OperatorsEqual):
         build_protocol(u, UnitaryOperator(np.exp(1j * phase) * u.matrix, u.dims))
+
+
+def _degenerate_end_pairs():
+    """(case, d, end, repeats): T's arc has its start (end 0) or its end
+    (end 1) eigenphase repeated 1 or 2 more times, exactly, at d = 3..5."""
+    return [(case, d, end, repeats) for case in (CASE_IA, CASE_IC)
+            for d in (3, 4, 5) for end in (0, 1) for repeats in (1, 2)
+            if repeats <= d - 2]
+
+
+@pytest.mark.parametrize("case, d, end, repeats", _degenerate_end_pairs())
+def test_degenerate_arc_ends_pass_the_checker_at_the_promised_box_count(case, d, end,
+                                                                        repeats):
+    # the IA cap and the IC wrap rotate in the plane of the arc's ends
+    for k, arc in enumerate((0.3, 1.1, 2.3)):
+        seed = 1000 * d + 100 * end + 10 * repeats + k
+        a, b, q = (random_unitary(d, seed + j).matrix for j in range(3))
+        phases = np.concatenate([np.linspace(0.0, arc, d - repeats), [end * arc] * repeats])
+        t = (q * np.exp(1j * (phases + 0.9 * k))) @ q.conj().T
+        alice_side = k % 2 == 0
+        u = np.kron(a, b)
+        v = np.kron(a @ t, b) if alice_side else np.kron(a, b @ t)
+        f = a if alice_side else b
+        if case == CASE_IA:
+            want = checker.required_box_uses(f, f @ t)
+        else:
+            u, v = u @ swap_operator(d).matrix, v @ swap_operator(d).matrix
+            want = 2 * int(np.ceil(np.pi / min(2 * arc, np.pi)))
+        u, v = UnitaryOperator(u, (d, d)), UnitaryOperator(v, (d, d))
+        proto = build_protocol(u, v)
+        assert proto.case_label == case and proto.certificate.passed
+        assert checker.check_protocol(proto, u.matrix, v.matrix,
+                                      (f, f @ t) if case == CASE_IA else None) == []
+        assert proto.box_uses == want == {CASE_IA: (11, 3, 2),
+                                          CASE_IC: (12, 4, 2)}[case][k]
 
 
 def _seed_free_pairs():

@@ -211,3 +211,19 @@ def test_two_qudit_global_scheme():
     v = UnitaryOperator(random_unitary(4, 301).matrix, (2, 2))
     scheme = find_sequential_scheme(u, v)
     assert evaluate_scheme(scheme, u, v) <= 1e-6
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("eps", [1e-10, 3e-9])
+def test_scheme_with_a_start_cluster_straddling_phase_zero(d, eps):
+    # eigenphases -eps and +eps form one cluster across phase 0: the arc
+    # starts at -eps, its lowest member on the circle, not at +eps, the
+    # lowest member in [0, 2 pi)
+    eye = identity_operator((d,))
+    for k, arc in enumerate((0.4 * np.pi / 3, 0.7, 2.0)):
+        q = random_unitary(d, 12 + k).matrix
+        phases = np.concatenate([[-eps, eps], np.linspace(arc, 0.0, d - 2, endpoint=False)])
+        v = UnitaryOperator((q * np.exp(1j * phases)) @ q.conj().T, (d,))
+        scheme = find_sequential_scheme(eye, v)
+        assert scheme.uses == int(np.ceil(np.pi / arc))
+        assert evaluate_scheme(scheme, eye, v) <= 1e-12

@@ -1,5 +1,6 @@
 """Tests for independent protocol simulation and certification."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,8 @@ from unidisc.protocol import (ALICE, BOB, FORWARD, REVERSE, LoccProtocol,
                               MeasurementPlan, Run)
 from unidisc.verifier import _propagate, outcome_probabilities, simulate, verify
 
-from conftest import SZ, haar_two_qudit, product_operator
+from conftest import (CNOT_MAT, ISWAP_MAT, SZ, haar_two_qudit, product_operator,
+                      split_iswap_protocol)
 
 
 def _plan(dim=2):
@@ -255,3 +257,29 @@ def test_verify_rejects_box_of_the_wrong_dimension(eye4):
         verify(proto, eye4, wide)
     with pytest.raises(DimensionMismatch):
         simulate(proto, wide)
+
+
+@pytest.mark.parametrize("dims", [(1, 4), (4, 1)])
+def test_verify_rejects_operators_split_other_than_the_protocol(dims):
+    # under a (1, 4) split every layer is global, so the Schmidt audit is
+    # empty: the gates' (2, 2) split must be the protocol's
+    proto = split_iswap_protocol(dims)
+    assert proto.dims == dims
+    iswap = UnitaryOperator(ISWAP_MAT, (2, 2))
+    # the same matrices on the protocol's own split give a clean PASS
+    assert verify(proto, UnitaryOperator(np.eye(4), dims),
+                  UnitaryOperator(ISWAP_MAT, dims)).passed
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(f"[2, 2] vs protocol dims {list(dims)}")):
+        verify(proto, identity_operator((2, 2)), iswap)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 3.0])
+def test_verify_fails_a_box_that_does_not_preserve_norm(scale):
+    # a scaled box scales the overlap and every Schmidt coefficient with it
+    cnot = UnitaryOperator(CNOT_MAT, (2, 2))
+    proto = build_protocol(identity_operator((2, 2)), cnot)
+    assert verify(proto, np.eye(4), cnot).passed
+    report = verify(proto, scale * np.eye(4), cnot)
+    assert abs(report.norm_deviation - abs(scale - 1.0)) <= 1e-12
+    assert not report.passed and report.summary().startswith("FAIL")
