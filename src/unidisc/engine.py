@@ -60,17 +60,16 @@ from .protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC, CASE_IDENTITY,
                        CASE_IIIB_SCALED, FORWARD, REVERSE, LoccProtocol,
                        MeasurementPlan, Run)
 from .sequential import _plane_rotation, _runs_for_arc, find_sequential_scheme
-from .verifier import outcome_probabilities, simulate, verify
+from .verifier import _branches, _report, outcome_probabilities
 
 _SYNTH_RESTARTS = 6
 
 
-def _measurement_plan(out_u, out_v, dims, tol):
-    """Plan for the party whose marginal outputs separate (Alice on ties)."""
-    a_u, b_u = schmidt_split(out_u, dims)
-    a_v, b_v = schmidt_split(out_v, dims)
-    alice_gap = abs(np.vdot(a_u, a_v))
-    bob_gap = abs(np.vdot(b_u, b_v))
+def _measurement_plan(finals, dims, tol):
+    """Plan for the party whose marginal outputs separate (Alice on ties),
+    from the two branches' final states, each normalized first."""
+    (a_u, b_u), (a_v, b_v) = (schmidt_split(f / np.linalg.norm(f), dims) for f in finals)
+    alice_gap, bob_gap = abs(np.vdot(a_u, a_v)), abs(np.vdot(b_u, b_v))
     if alice_gap <= tol.orthogonality or alice_gap <= bob_gap:
         party, m_u, m_v = ALICE, a_u, a_v
     else:
@@ -80,14 +79,13 @@ def _measurement_plan(out_u, out_v, dims, tol):
 
 
 def _finalize(label, runs, alice_in, bob_in, u, v, tol, notes=""):
-    """Attach the measurement plan and a fresh certificate."""
+    """Attach the plan and a fresh certificate, both read off one verifier pass."""
     proto = LoccProtocol(label, tuple(runs), alice_in, bob_in,
-                         MeasurementPlan(ALICE, np.eye(alice_in.dim)),
-                         notes=notes)
-    out_u, out_v = (simulate(proto, w).amplitudes for w in (u, v))
-    proto = replace(proto, measurement=_measurement_plan(out_u, out_v,
-                                                         proto.dims, tol))
-    return replace(proto, certificate=verify(proto, u, v, tol))
+                         MeasurementPlan(ALICE, np.eye(alice_in.dim)), notes=notes)
+    states = _branches(proto, u, v, tol)
+    if states is not None:
+        proto = replace(proto, measurement=_measurement_plan(states[-1], proto.dims, tol))
+    return replace(proto, certificate=_report(proto, states, tol))
 
 
 def build_protocol(u, v, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=8):

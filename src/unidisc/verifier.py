@@ -1,15 +1,17 @@
 """Independent simulation and certification of LOCC protocols.
 
 The verifier never trusts values cached inside a protocol.  It first
-checks the protocol's own contract: every local operation unitary, the
-measurement basis complete.  Then one stacked pass carries both hypothesis
-branches through the runs together, with no Kronecker product, and keeps
-every post-run state.  From these it takes the second Schmidt coefficient
-after every run in one batched SVD (the no-entanglement audit covers the
-whole process, not just the endpoints), the final overlap, and the outcome
-probabilities of the declared measurement plan, which must be {1, 0}.  Its
-kernel shares no code with the engine's synthesis kernel, so a bug in one
-cannot certify the other's output.
+checks the protocol's own contract: every box split as the protocol's
+parties, every local operation unitary, the measurement basis complete.
+Then one stacked pass carries both hypothesis branches through the runs
+together, with no Kronecker product, and keeps every post-run state.  From
+these it takes the second Schmidt coefficient after every run in one
+batched SVD (the no-entanglement audit covers the whole process, not just
+the endpoints), the final overlap, and the outcome probabilities of the
+declared measurement plan, which must be {1, 0}.  The engine calls the two
+halves of ``verify`` itself and reads its plan off the states this kernel
+computed in the same call.  The kernel shares no code with the engine's
+synthesis kernel, so a bug in one cannot certify the other's output.
 """
 
 from dataclasses import dataclass
@@ -53,7 +55,10 @@ class VerificationReport:
                 f"party={self.measuring_party} boxes={self.box_uses}")
 
 
-def _box_matrix(box):
+def _box_matrix(box, dims):
+    """A box's matrix; an operator must be split as the protocol, ``dims``."""
+    if isinstance(box, UnitaryOperator) and box.dims != dims:
+        raise DimensionMismatch(f"operator dims {list(box.dims)} vs protocol dims {list(dims)}")
     return box.matrix if isinstance(box, UnitaryOperator) else np.asarray(box, dtype=complex)
 
 
@@ -106,41 +111,36 @@ def _probabilities(final, plan):
 
 def simulate(protocol, box):
     """Final two-qudit state of the protocol for a given black box."""
-    final = _propagate(protocol, [_box_matrix(box)])[-1, 0].reshape(-1)
+    final = _propagate(protocol, [_box_matrix(box, protocol.dims)])[-1, 0].reshape(-1)
     return PureState(final / np.linalg.norm(final), protocol.dims)
 
 
 def outcome_probabilities(protocol, box):
     """Probability of each measurement outcome for a given black box."""
-    final = _propagate(protocol, [_box_matrix(box)])[-1, 0]
+    final = _propagate(protocol, [_box_matrix(box, protocol.dims)])[-1, 0]
     return _probabilities(final, protocol.measurement)
 
 
-def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
-    """Re-derive every certificate of a protocol from scratch.
-
-    Checks that every local operation is unitary and the measurement basis
-    complete, simulates both branches, traces per-run second Schmidt
-    coefficients, recomputes the final overlap, identifies the measuring
-    party (the plan's party when its outputs separate, else Alice first),
-    and validates the measurement plan.  A protocol that fails a check is
-    encoded in the report, not raised; a box whose dimension differs from
-    the protocol's, or an operator whose party split does, raises
-    DimensionMismatch.
-    """
-    dims, plan = protocol.dims, protocol.measurement
-    for box in (u, v):
-        if isinstance(box, UnitaryOperator) and box.dims != dims:
-            raise DimensionMismatch(f"operator dims {list(box.dims)} vs "
-                                    f"protocol dims {list(dims)}")
+def _branches(protocol, u, v, tol):
+    """Branch half of :func:`verify`: both branches' states from one pass,
+    or None when a local operation is not unitary."""
+    dims = protocol.dims
+    boxes = [_box_matrix(u, dims), _box_matrix(v, dims)]
     if not (_all_unitary([run.alice_op for run in protocol.runs], dims[0], tol)
             and _all_unitary([run.bob_op for run in protocol.runs], dims[1], tol)):
+        return None
+    return _propagate(protocol, boxes)
+
+
+def _report(protocol, states, tol):
+    """Report half of :func:`verify`, read off :func:`_branches`' states."""
+    dims, plan = protocol.dims, protocol.measurement
+    if states is None:
         nan = float("nan")
         return VerificationReport(
             overlap=nan, schmidt_second_max=nan, measuring_party=plan.party,
             box_uses=protocol.box_uses, per_run_trace=(), passed=False,
             measurement_ok=False, norm_deviation=nan)
-    states = _propagate(protocol, [_box_matrix(u), _box_matrix(v)])
     after = states[1:]                                  # (n, 2, da, db)
     if min(dims) > 1:
         second = np.linalg.svd(after, compute_uv=False)[..., 1]
@@ -154,8 +154,7 @@ def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
     out_u, out_v = states[-1]
     overlap = float(abs(np.vdot(out_u, out_v)))
 
-    a_u, b_u = schmidt_split(out_u, dims)
-    a_v, b_v = schmidt_split(out_v, dims)
+    (a_u, b_u), (a_v, b_v) = (schmidt_split(f, dims) for f in (out_u, out_v))
     overlaps = {ALICE: abs(np.vdot(a_u, a_v)), BOB: abs(np.vdot(b_u, b_v))}
     separating = [p for p in (plan.party, ALICE, BOB)
                   if overlaps[p] <= tol.orthogonality]
@@ -171,17 +170,19 @@ def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
         measurement_ok = (p_u[says_u].sum() >= 1.0 - tol.orthogonality
                           and p_v[~says_u].sum() >= 1.0 - tol.orthogonality)
 
-    passed = bool(overlap <= tol.orthogonality
-                  and schmidt_max <= tol.orthogonality
-                  and norm_dev <= tol.orthogonality
-                  and measurement_ok)
+    passed = bool(overlap <= tol.orthogonality and schmidt_max <= tol.orthogonality
+                  and norm_dev <= tol.orthogonality and measurement_ok)
     return VerificationReport(
-        overlap=overlap,
-        schmidt_second_max=schmidt_max,
-        measuring_party=party,
-        box_uses=protocol.box_uses,
-        per_run_trace=tuple(trace),
-        passed=passed,
-        measurement_ok=bool(measurement_ok),
-        norm_deviation=norm_dev,
-    )
+        overlap=overlap, schmidt_second_max=schmidt_max, measuring_party=party,
+        box_uses=protocol.box_uses, per_run_trace=tuple(trace), passed=passed,
+        measurement_ok=bool(measurement_ok), norm_deviation=norm_dev)
+
+
+def verify(protocol, u, v, tol=DEFAULT_TOLERANCES):
+    """Re-derive every certificate of a protocol from scratch: the layer
+    and basis contracts, both branches, the per-run second Schmidt
+    coefficients, the final overlap, the measuring party (the plan's when
+    its outputs separate, else Alice first) and the plan.  A failed check is
+    encoded in the report; a box of another dimension or party split than
+    the protocol's raises DimensionMismatch."""
+    return _report(protocol, _branches(protocol, u, v, tol), tol)

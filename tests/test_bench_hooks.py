@@ -16,6 +16,11 @@ import unidisc.verifier
 from unidisc.core import UnitaryOperator, random_unitary
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+# the engine reads a build's measurement plan and certificate off one pass of
+# the verifier's private halves, so it no longer imports the ``verify`` and
+# ``simulate`` these two hooks wrap; closed-form verifier time shows up under
+# ``engine.self_ms`` in a traced run
+REMOVED_HOOKS = ["unidisc.engine.verify", "unidisc.engine.simulate"]
 
 
 def _tracer_class():
@@ -29,7 +34,7 @@ def test_tracer_installs_every_hook():
     original = unidisc.verifier.simulate
     tracer = _tracer_class()()
     try:
-        assert tracer.install() == []
+        assert tracer.install() == REMOVED_HOOKS
         assert unidisc.verifier.simulate is not original
     finally:
         tracer.uninstall()
@@ -47,7 +52,7 @@ def test_case_ia_build_records_two_eigendecompositions(box_uses):
     v = UnitaryOperator(np.kron(a @ w, b), (2, 2))
     tracer = _tracer_class()()
     try:
-        assert tracer.install() == []
+        assert tracer.install() == REMOVED_HOOKS
         proto = unidisc.engine.build_protocol(u, v)
     finally:
         tracer.uninstall()

@@ -8,17 +8,19 @@ import scipy.linalg
 
 import unidisc.compiler
 import unidisc.engine
+import unidisc.verifier
 from unidisc.arc import _relative_spectrum, theta
-from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, basis_state,
+from unidisc.core import (DEFAULT_TOLERANCES, Tolerances, UnitaryOperator, basis_state,
                           identity_operator, random_unitary, tensor)
 from unidisc.engine import (DecisionTree, _case_iii_label, _direction_patterns,
                             _solve_lockstep, _SynthesisProblem, _wrap_rotation,
                             build_protocol, identify, identity_vs_other,
                             multi_discriminate)
-from unidisc.exceptions import CompileFailed, OperatorsEqual, ValidationError
+from unidisc.exceptions import (CompileFailed, OperatorsEqual, SynthesisFailed,
+                                ValidationError)
 from unidisc.io import dumps_artifact, protocol_to_json
 from unidisc.locality import canonical_xx_operator, conjugation_set, \
-    extract_canonical_xx
+    extract_canonical_xx, swap_operator
 from unidisc.protocol import (BOB, CASE_IA, CASE_IB, CASE_IC,
                               CASE_IDENTITY, CASE_IIA, CASE_IIB, FORWARD,
                               REVERSE, MeasurementPlan)
@@ -136,18 +138,106 @@ def test_identity_vs_other_entry():
 def test_identity_vs_other_verifies_no_more_than_build(monkeypatch):
     w, eye = product_operator(2, 31), identity_operator((2, 2))
     calls = []
+    branches = unidisc.engine._branches
 
     def spy(*args, **kwargs):
         calls.append(args[0])
-        return verify(*args, **kwargs)
+        return branches(*args, **kwargs)
 
-    monkeypatch.setattr(unidisc.engine, "verify", spy)
+    # the engine certifies through the verifier's branch half
+    monkeypatch.setattr(unidisc.engine, "_branches", spy)
     build_protocol(eye, w)
     built = len(calls)
     calls.clear()
     proto = identity_vs_other(w)
     assert len(calls) == built
     assert proto.certificate == verify(proto, eye, w)
+
+
+def _sided_pair(swap, d, arc_a, arc_b):
+    """(U, V) = ((A (x) B) [P], (A T_A (x) B T_B) [P]) with Theta(T_X) = arc_X."""
+    def arc_factor(arc, seed):
+        q = random_unitary(d, seed).matrix
+        return (q * np.exp(1j * arc * np.linspace(0.0, 1.0, d))) @ q.conj().T
+
+    a, b = random_unitary(d, 5).matrix, random_unitary(d, 6).matrix
+    p = swap_operator(d).matrix if swap else np.eye(d * d)
+    return (UnitaryOperator(np.kron(a, b) @ p, (d, d)),
+            UnitaryOperator(np.kron(a @ arc_factor(arc_a, 7),
+                                    b @ arc_factor(arc_b, 8)) @ p, (d, d)))
+
+
+# (label, box uses, U, V): IA at 2 and 32 uses on each side, IB, IC with one
+# forward run and with the wrap, and one synthesized IIA pair
+ONE_PASS_BUILDS = [
+    ("IA", 2, *_sided_pair(False, 2, np.pi / 1.5, 0.0)),
+    ("IA", 32, *_sided_pair(False, 2, np.pi / 31.5, 0.0)),
+    ("IA", 2, *_sided_pair(False, 2, 0.0, np.pi / 1.5)),
+    ("IA", 32, *_sided_pair(False, 2, 0.0, np.pi / 31.5)),
+    ("IB", 1, identity_operator((2, 2)), swap_operator(2)),
+    ("IC", 1, *_sided_pair(True, 3, 1.2 * np.pi, 0.0)),
+    ("IC", 4, *_sided_pair(True, 3, 0.9, 0.0)),
+    ("IIA", 1, *ENTANGLING_PAIRS["IIA"](2, 0)),
+]
+
+
+@pytest.mark.parametrize("label, uses, u, v", ONE_PASS_BUILDS,
+                         ids=["IA-2-Alice", "IA-32-Alice", "IA-2-Bob", "IA-32-Bob",
+                              "IB", "IC-forward", "IC-wrap", "IIA"])
+def test_build_propagates_each_branch_once(monkeypatch, label, uses, u, v):
+    # the measurement plan and the certificate are read off one stacked
+    # pass of both branches, and no branch is simulated on its own
+    propagate, passes = unidisc.verifier._propagate, []
+
+    def spy(protocol, boxes):
+        passes.append(len(boxes))
+        return propagate(protocol, boxes)
+
+    def alone(*args, **kwargs):
+        raise AssertionError("build_protocol simulated a branch on its own")
+
+    monkeypatch.setattr(unidisc.verifier, "_propagate", spy)
+    monkeypatch.setattr(unidisc.verifier, "simulate", alone)
+    proto = build_protocol(u, v)
+    assert (proto.case_label, proto.box_uses) == (label, uses)
+    assert proto.certificate.passed
+    assert passes == [2]
+
+
+# closed-form pairs by case: IA on either side or both, IB in either order,
+# IC with one forward run and with the wrap on either side
+CLOSED_FORM_KINDS = {
+    "IA-Alice": lambda d: _sided_pair(False, d, 0.7, 0.0),
+    "IA-Bob": lambda d: _sided_pair(False, d, 0.0, 0.7),
+    "IA-both": lambda d: _sided_pair(False, d, 0.9, 1.0),
+    "IB": lambda d: (product_operator(d, 41), swap_type_operator(d, 43)),
+    "IB-reversed": lambda d: (swap_type_operator(d, 43), product_operator(d, 41)),
+    # at d = 2 the widest arc is pi, which still takes one forward run
+    "IC-forward": lambda d: _sided_pair(True, d, 1.2 * np.pi if d > 2 else np.pi, 0.0),
+    "IC-wrap": lambda d: _sided_pair(True, d, 2.0, 0.3),
+    "IC-wrap-Bob": lambda d: _sided_pair(True, d, 0.0, 0.7),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("kind", list(CLOSED_FORM_KINDS))
+def test_built_certificate_is_the_verifiers(kind, d):
+    u, v = CLOSED_FORM_KINDS[kind](d)
+    proto = build_protocol(u, v)
+    assert proto.case_label == kind[:2]
+    fresh = verify(proto, u, v)
+    # exact equality of every field, the per-run Schmidt trace included
+    assert proto.certificate == fresh and fresh.passed
+    assert (dumps_artifact(protocol_to_json(replace(proto, certificate=fresh)))
+            == dumps_artifact(protocol_to_json(proto)))
+
+
+def test_layers_outside_the_unitarity_tolerance_fail_the_build():
+    # a tolerance below the layers' rounding leaves the verifier's pass
+    # nothing to simulate: no plan is read, and the NaN report fails the build
+    u, v = CLOSED_FORM_KINDS["IA-Alice"](3)
+    with pytest.raises(SynthesisFailed, match="certificate failed .FAIL overlap=nan"):
+        build_protocol(u, v, tol=Tolerances(unitarity=1e-300))
 
 
 @pytest.mark.parametrize("v", [haar_two_qudit(2, 10001),

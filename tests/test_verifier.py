@@ -8,7 +8,7 @@ import pytest
 
 from unidisc.core import UnitaryOperator, basis_state, identity_operator, \
     random_unitary, state
-from unidisc.engine import _SynthesisProblem, build_protocol
+from unidisc.engine import DecisionTree, _SynthesisProblem, build_protocol, identify
 from unidisc.exceptions import DimensionMismatch, ValidationError
 from unidisc.locality import swap_operator
 from unidisc.protocol import (ALICE, BOB, FORWARD, REVERSE, LoccProtocol,
@@ -272,6 +272,22 @@ def test_verify_rejects_operators_split_other_than_the_protocol(dims):
     with pytest.raises(DimensionMismatch,
                        match=re.escape(f"[2, 2] vs protocol dims {list(dims)}")):
         verify(proto, identity_operator((2, 2)), iswap)
+
+
+@pytest.mark.parametrize("dims", [(1, 4), (4, 1)])
+def test_every_entry_point_rejects_operators_split_other_than_the_protocol(dims):
+    # simulate and outcome_probabilities, and identify (the multi command)
+    # through them, run the split check verify runs
+    proto = split_iswap_protocol(dims)
+    iswap, own = UnitaryOperator(ISWAP_MAT, (2, 2)), UnitaryOperator(ISWAP_MAT, dims)
+    tree = DecisionTree({(0, 1): proto})
+    np.testing.assert_allclose(outcome_probabilities(proto, own), [0, 1, 0, 0], atol=1e-12)
+    assert simulate(proto, own).dims == dims
+    assert identify(tree, own) == {1: pytest.approx(1.0)}
+    for call in (simulate, outcome_probabilities, lambda p, box: identify(tree, box)):
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape(f"[2, 2] vs protocol dims {list(dims)}")):
+            call(proto, iswap)
 
 
 @pytest.mark.parametrize("scale", [1e-7, 3.0])
