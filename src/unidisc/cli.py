@@ -32,7 +32,7 @@ from .exceptions import (CompileFailed, SynthesisFailed, UnidiscError,
 from .io import (load_operator, load_protocol, matrix_to_json,
                  protocol_to_json, report_to_json, scheme_to_json,
                  tolerances_to_json, vector_to_json, write_artifact)
-from .locality import classify
+from .locality import classify, operator_schmidt
 from .sequential import SequentialScheme, evaluate_scheme, \
     find_sequential_scheme
 from .verifier import verify
@@ -136,10 +136,10 @@ def _cmd_classify(args):
     op = load_operator(args.operator, tol)
     op.require_two_party()
     result = classify(op, tol)
+    values = operator_schmidt(op)[0].tolist()
     lines = [f"class = {result.kind}",
-             f"operator Schmidt values = {[round(s, 9) for s in result.schmidt_values]}"]
-    payload = {"class": result.kind,
-               "schmidt_values": list(result.schmidt_values)}
+             f"operator Schmidt values = {[round(s, 9) for s in values]}"]
+    payload = {"class": result.kind, "schmidt_values": values}
     if result.factors is not None:
         payload["factor_alice"] = matrix_to_json(result.factors[0].matrix)
         payload["factor_bob"] = matrix_to_json(result.factors[1].matrix)

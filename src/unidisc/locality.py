@@ -2,8 +2,9 @@
 
 A two-qudit unitary maps every product state to a product state exactly when
 it equals A (x) B or (A (x) B) P with P the swap; anything else entangles
-some product input.  The product test used here is the operator Schmidt
-decomposition (realignment + SVD), which is rank 1 exactly for A (x) B.
+some product input.  The product test reads the operator Schmidt rank, 1
+exactly for A (x) B, from one power step on the realigned matrix, with a
+full SVD only in a narrow band (see :func:`classify`).
 
 The module also recognizes the canonical two-qudit form exp(i x u1 (x) u2)
 with u1 = u2 = sigma_x (+) 0_{d-2}, up to a global phase, via a conjugation
@@ -41,13 +42,11 @@ class LocalityClass:
     kind            one of ProductLocal / SwapLocal / Imprimitive
     factors         (A, B) single-qudit unitaries for the primitive kinds
     witness         product input whose image is entangled (Imprimitive only)
-    schmidt_values  nonincreasing operator Schmidt singular values of U
     """
 
     kind: str
     factors: tuple = None
     witness: PureState = None
-    schmidt_values: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -151,47 +150,66 @@ def _unitarize(m):
 def _extract_factors(matrix, d, left, right):
     """(A, B) with kron(A, B) ~ matrix, assuming operator Schmidt rank 1.
 
-    ``left`` and ``right`` are the singular vectors of the realigned
-    ``matrix``.  A's largest-magnitude entry is made real positive; the
+    ``left`` and ``right`` are the top left and conjugated right singular
+    vectors of the realigned ``matrix``, at any scale and phase.  The first
+    entry of A, in flat order, within 1e-8 of its largest magnitude is made
+    real positive (every 2 x 2 unitary ties two pairs of magnitudes); the
     residual global phase is absorbed into B so that kron(A, B) matches
     ``matrix`` itself, not merely its phase class.
     """
-    a = _unitarize(left[:, 0].reshape(d, d))
-    b = _unitarize(right[0, :].reshape(d, d))
-    flat = np.argmax(np.abs(a))
-    a = a * np.exp(-1j * np.angle(a.flat[flat]))
-    # align the pair phase to the original matrix
-    zeta = np.angle(np.trace(np.kron(a, b).conj().T @ matrix))
-    b = b * np.exp(1j * zeta)
+    a = _unitarize(left.reshape(d, d))
+    b = _unitarize(right.reshape(d, d))
+    mag = np.abs(a).ravel()
+    a = a * np.exp(-1j * np.angle(a.flat[np.flatnonzero(mag >= mag.max() - 1e-8)[0]]))
+    b = b * np.exp(1j * np.angle(np.vdot(np.kron(a, b), matrix)))
     return a, b
+
+
+def _product_factors(matrix, d, tol):
+    """(A, B) with kron(A, B) ~ matrix when s2 / s1 <= tol for the operator
+    Schmidt values of ``matrix``, else None; see :func:`classify`."""
+    r = _realign(matrix, d)
+    x = r.conj().T @ r[:, np.argmax(np.linalg.norm(r, axis=0))]
+    v = x / np.linalg.norm(x)
+    rv = r @ v
+    rho = np.linalg.norm(r - np.outer(rv, v.conj()))
+    if rho <= tol * np.linalg.norm(rv):
+        return _extract_factors(matrix, d, rv, v.conj())
+    if rho > d * d * tol * np.linalg.norm(r):
+        return None
+    left, s, right = np.linalg.svd(r)
+    if s[1] / s[0] <= tol:
+        return _extract_factors(matrix, d, left[:, 0], right[0, :])
+    return None
 
 
 def classify(u, tol=DEFAULT_TOLERANCES):
     """Decide ProductLocal / SwapLocal / Imprimitive with certificates.
 
-    Product is checked first (ratio s2/s1 of the operator Schmidt values
-    against the classification tolerance), then swap-type via U P, and an
-    imprimitive verdict carries a product witness whose image is entangled.
+    Product is checked first, then swap-type via U P, and an imprimitive
+    verdict carries a product witness whose image is entangled.  Each test
+    decides s2 / s1 <= t = tol.classification for the operator Schmidt
+    values of its matrix.  From the longest column r_j of the realigned
+    d^2 x d^2 matrix R, one power step gives the unit v ~ R^H r_j and the
+    remainder rho = ||R - (R v) v^H||_F:
+
+    * rho <= t ||R v||: product, since rho >= s2 for any unit v
+      (Eckart-Young) and ||R v|| <= s1.  The factors come from (R v, v).
+    * rho > d^2 t ||R||_F: not product.  r_j carries at least 1 / d^2 of
+      ||R||_F^2, so s2 / s1 <= t with d^2 t^2 <= 1/2 gives
+      rho <= d t s1 <= d t ||R||_F, a margin of d >= 2; for larger t the
+      threshold exceeds ||R||_F >= rho and never fires.
+    * In between, a full SVD of R decides; its top vectors give the factors.
     """
     d = u.require_two_party()
-    # one full SVD per test: its vectors give the factors when it passes
-    left, s, right = np.linalg.svd(_realign(u.matrix, d))
-    values = tuple(float(x) for x in s)
-    if s[1] / s[0] <= tol.classification:
-        a, b = _extract_factors(u.matrix, d, left, right)
-        return LocalityClass(PRODUCT_LOCAL, factors=(
-            UnitaryOperator(a, (d,)), UnitaryOperator(b, (d,))),
-            schmidt_values=values)
-    # U P: column (i, j) is U's column (j, i)
-    up = u.matrix[:, np.arange(d * d).reshape(d, d).T.ravel()]
-    left, s_swap, right = np.linalg.svd(_realign(up, d))
-    if s_swap[1] / s_swap[0] <= tol.classification:
-        a, b = _extract_factors(up, d, left, right)
-        return LocalityClass(SWAP_LOCAL, factors=(
-            UnitaryOperator(a, (d,)), UnitaryOperator(b, (d,))),
-            schmidt_values=values)
-    return LocalityClass(IMPRIMITIVE, witness=_scan_witness(u, d, tol),
-                         schmidt_values=values)
+    kind, factors = PRODUCT_LOCAL, _product_factors(u.matrix, d, tol.classification)
+    if factors is None:
+        # U P: column (i, j) is U's column (j, i)
+        up = u.matrix[:, np.arange(d * d).reshape(d, d).T.ravel()]
+        kind, factors = SWAP_LOCAL, _product_factors(up, d, tol.classification)
+    if factors is None:
+        return LocalityClass(IMPRIMITIVE, witness=_scan_witness(u, d, tol))
+    return LocalityClass(kind, factors=tuple(UnitaryOperator(f, (d,)) for f in factors))
 
 
 def _local_scan_states(d):

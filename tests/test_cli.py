@@ -16,7 +16,7 @@ from unidisc.exceptions import ParseError, ValidationError
 from unidisc.io import (_runs_from_json, dumps_artifact, load_operator,
                         matrix_from_json, protocol_from_json, protocol_to_json,
                         save_operator, vector_from_json)
-from unidisc.locality import swap_operator
+from unidisc.locality import operator_schmidt, swap_operator
 from unidisc.engine import build_protocol
 
 from conftest import (CNOT_MAT, ENTANGLING_PAIRS, ISWAP_MAT, SZ, haar_two_qudit,
@@ -158,6 +158,19 @@ def test_cli_classify_product_factors(tmp_path):
     rebuilt = np.kron(matrix_from_json(data["factor_alice"]),
                       matrix_from_json(data["factor_bob"]))
     assert phase_distance(rebuilt, gate) <= 1e-9
+
+
+@pytest.mark.parametrize("name, gate, kind", [
+    ("product", product_operator(3, 5), "ProductLocal"),
+    ("swap", swap_type_operator(3, 5), "SwapLocal"),
+    ("cnot", UnitaryOperator(CNOT_MAT, (2, 2)), "Imprimitive")])
+def test_cli_classify_writes_the_operator_schmidt_values(tmp_path, name, gate, kind):
+    path, out = tmp_path / f"{name}.json", tmp_path / "class.json"
+    save_operator(path, gate)
+    assert main(["classify", str(path), "--out", str(out), "--quiet"]) == 0
+    data = json.loads(out.read_text())
+    assert data["class"] == kind
+    assert data["schmidt_values"] == operator_schmidt(load_operator(str(path)))[0].tolist()
 
 
 def test_cli_equal_operators_exit_1(opfiles, capsys):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from unidisc.core import (UnitaryOperator, phase_distance, random_unitary,
-                          schmidt_coefficients, tensor)
+from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, phase_distance,
+                          random_unitary, schmidt_coefficients, tensor)
 from unidisc.exceptions import DimensionMismatch, ValidationError
 from unidisc.locality import (IMPRIMITIVE, PRODUCT_LOCAL, SWAP_LOCAL,
+                              _extract_factors, _realign,
                               canonical_xx_matrix, canonical_xx_operator,
                               classify, conjugation_set, embedded_pauli,
                               imprimitivity_witness, extract_canonical_xx,
@@ -99,6 +100,87 @@ def test_classification_oracle(d):
         got = classify(haar_two_qudit(d, 17 * k))
         assert got.kind == IMPRIMITIVE
         assert got.witness is not None
+
+
+def _near_product(d, seed, eps):
+    """(A (x) B) exp(i eps G) for a random Hermitian G of unit norm."""
+    h = random_hermitian(d * d, seed)
+    w, q = np.linalg.eigh(h / np.linalg.norm(h))
+    return UnitaryOperator(product_operator(d, seed).matrix
+                           @ (q * np.exp(1j * eps * w)) @ q.conj().T, (d, d))
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices passed to np.linalg.svd while the test runs."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def _classify_counting(shapes, u):
+    """classify(u) and the number of d^2 x d^2 SVDs it made."""
+    before, d = len(shapes), u.dims[0]
+    return classify(u), shapes[before:].count((d * d, d * d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
+def test_rank_one_step_decides_as_the_svd_ratio(d, svd_shapes):
+    # near-product gates on both sides of tol and of d^2 tol: the kind is
+    # the SVD ratio test's, and a gate in the band between the bounds takes
+    # exactly one SVD
+    tol = DEFAULT_TOLERANCES.classification
+    verdicts, svds = [], []
+    for k, eps in enumerate(np.geomspace(1e-12, 1e-4, 40)):
+        u = _near_product(d, 100 * d + k, eps)
+        s = operator_schmidt(u)[0]
+        got, count = _classify_counting(svd_shapes, u)
+        assert got.kind != SWAP_LOCAL
+        assert (got.kind == PRODUCT_LOCAL) == (s[1] / s[0] <= tol), (eps, s[1] / s[0])
+        verdicts.append(got.kind == PRODUCT_LOCAL)
+        svds.append(count)
+    assert any(verdicts) and not all(verdicts)
+    assert set(svds) == {0, 1}
+
+
+@pytest.mark.parametrize("d", [2, 3, 9])
+def test_clear_gates_make_no_big_svd(d, svd_shapes):
+    for make in (product_operator, swap_type_operator, haar_two_qudit):
+        assert _classify_counting(svd_shapes, make(d, 7))[1] == 0
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_factors_rebuild_the_gate(d):
+    p = swap_operator(d).matrix
+    for k in range(5):
+        u = product_operator(d, 31 * k + d)
+        got = classify(u)
+        assert got.kind == PRODUCT_LOCAL
+        a, b = (f.matrix for f in got.factors)
+        assert np.linalg.norm(np.kron(a, b) - u.matrix) <= 1e-12
+        u = swap_type_operator(d, 37 * k + d)
+        got = classify(u)
+        assert got.kind == SWAP_LOCAL
+        a, b = (f.matrix for f in got.factors)
+        assert np.linalg.norm(np.kron(a, b) - u.matrix @ p) <= 1e-12
+
+
+def test_d2_factor_phase_does_not_follow_rounding():
+    # every 2 x 2 unitary ties |a00| = |a11| and |a01| = |a10|, so the phase
+    # reference must not depend on the last bits of the singular vectors
+    for k in range(300):
+        u = product_operator(2, 1000 + k)
+        left, _, right = np.linalg.svd(_realign(u.matrix, 2))
+        a, b = _extract_factors(u.matrix, 2, left[:, 0], right[0, :])
+        got = classify(u).factors
+        assert np.abs(got[0].matrix - a).max() <= 1e-12, k
+        assert np.abs(got[1].matrix - b).max() <= 1e-12, k
 
 
 def test_swap_product_exclusive_flags_product_first():

@@ -75,11 +75,12 @@ def _clear_of_ties(arc):
 @st.composite
 def closed_form_pairs(draw):
     """(case, u, v, T, factors): a closed-form pair whose factors differ on
-    one side by T, a unitary of drawn spectral arc in [pi/40, 2 pi)."""
+    one side by T, a unitary of drawn spectral arc in [pi/40, 2 pi - pi/40],
+    so that Theta(T) >= pi/40 and T is never a scalar."""
     case = draw(st.sampled_from([CASE_IA, CASE_IB, CASE_IC]))
     d = draw(st.integers(2, 4))
     seed = draw(st.integers(0, 2 ** 20))
-    arc = draw(st.floats(np.pi / 40, 2 * np.pi, exclude_max=True))
+    arc = draw(st.floats(np.pi / 40, 2 * np.pi - np.pi / 40))
     inner = draw(st.lists(st.floats(0.0, 1.0), min_size=d - 2, max_size=d - 2))
     offset = draw(st.floats(0.0, 2 * np.pi))
     alice_side = draw(st.booleans())
