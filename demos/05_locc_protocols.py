@@ -10,7 +10,7 @@ single run, so no entanglement appears anywhere in the process.
 
 import numpy as np
 
-from unidisc import (UnitaryOperator, build_protocol, identify,
+from unidisc import (UnitaryOperator, build_protocol, case_iii_label, identify,
                      identity_operator, identity_vs_other, multi_discriminate,
                      random_unitary, swap_operator, tensor, verify)
 
@@ -55,6 +55,8 @@ prod = UnitaryOperator(tensor(random_unitary(2, 5), random_unitary(2, 6)).matrix
 haar = UnitaryOperator(random_unitary(4, 7).matrix, (2, 2))
 show("product vs entangling", build_protocol(haar, prod, seed=1))
 show("CNOT vs CZ", build_protocol(CNOT, CZ, seed=0))
+label, notes = case_iii_label(CNOT, CZ)
+print(f"    canonical-form label, on request: {label} ({notes})")
 
 print()
 print("== identity against an arbitrary gate ==")

@@ -10,7 +10,8 @@ entangling box, and complete LOCC protocols with independent verification.
 __version__ = "0.1.0"
 
 from .arc import SpectralArc, discriminating_state, single_run_discriminable, theta
-from .compiler import Box, CircuitWord, LocalLayer, compile_word, evaluate_word
+from .compiler import (Box, CircuitWord, LocalLayer, case_iii_label, compile_word,
+                       evaluate_word)
 from .core import (DEFAULT_TOLERANCES, PureState, Tolerances, UnitaryOperator,
                    basis_state, identity_operator, phase_distance,
                    random_unitary, state, tensor, unitary_eig)

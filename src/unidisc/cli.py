@@ -3,7 +3,10 @@
 Commands
 --------
 theta U.json                         spectral arc of an operator
-classify U.json                      locality class of a two-qudit operator
+classify U.json [V.json]             locality class of a two-qudit operator;
+                                     with V, the label and notes of
+                                     compiler.case_iii_label for a pair
+                                     that ``discriminate`` labels III
 discriminate --mode single|sequential|locc U.json V.json
 multi U1.json U2.json [U3.json ...]  knockout over m hypotheses
 verify protocol.json U.json V.json   re-verify a serialized protocol
@@ -25,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .arc import discriminating_state, theta
+from .compiler import case_iii_label
 from .core import Tolerances
 from .engine import build_protocol, identify, multi_discriminate
 from .exceptions import (CompileFailed, SynthesisFailed, UnidiscError,
@@ -32,7 +36,7 @@ from .exceptions import (CompileFailed, SynthesisFailed, UnidiscError,
 from .io import (load_operator, load_protocol, matrix_to_json,
                  protocol_to_json, report_to_json, scheme_to_json,
                  tolerances_to_json, vector_to_json, write_artifact)
-from .locality import classify, operator_schmidt
+from .locality import IMPRIMITIVE, classify, operator_schmidt
 from .sequential import SequentialScheme, evaluate_scheme, \
     find_sequential_scheme
 from .verifier import verify
@@ -69,8 +73,11 @@ def _build_parser():
     p.add_argument("operator")
     common(p)
 
-    p = sub.add_parser("classify", help="locality class of a two-qudit operator")
+    p = sub.add_parser("classify", help="locality class of a two-qudit operator, "
+                                        "or the case-III label of a pair")
     p.add_argument("operator")
+    p.add_argument("other", nargs="?", default=None,
+                   help="second operator: print the pair's case-III label")
     common(p)
 
     p = sub.add_parser("discriminate", help="build a discrimination scheme")
@@ -135,6 +142,8 @@ def _cmd_classify(args):
     tol = _tolerances(args)
     op = load_operator(args.operator, tol)
     op.require_two_party()
+    if args.other is not None:
+        return _classify_pair(args, op, load_operator(args.other, tol), tol)
     result = classify(op, tol)
     values = operator_schmidt(op)[0].tolist()
     lines = [f"class = {result.kind}",
@@ -148,6 +157,20 @@ def _cmd_classify(args):
         lines.append("witness input stored in artifact"
                      if args.out else "entangling witness found")
     _emit(args, lines, payload)
+    return 0
+
+
+def _classify_pair(args, u, v, tol):
+    if v.require_two_party() != u.dims[0]:
+        raise ValidationError("operators live on different spaces")
+    kinds = [classify(op, tol).kind for op in (u, v)]
+    if kinds != [IMPRIMITIVE, IMPRIMITIVE]:
+        raise ValidationError(f"the case-III label needs two entangling gates, "
+                              f"got {kinds[0]} and {kinds[1]}")
+    label, notes = case_iii_label(u, v, tol, seed=_seed(args),
+                                  max_boxes=args.max_boxes)
+    _emit(args, [f"case = {label}", f"notes = {notes}"],
+          {"label": label, "notes": notes})
     return 0
 
 

@@ -19,17 +19,22 @@ runs on the same kernel and solver.
 
 At d=2 one box reaches T exactly when the box or its inverse is locally
 equivalent to T, which Makhlin's invariants decide in closed form.
+
+:func:`case_iii_label` runs the paper's canonical-form dichotomy of case III
+on a compiled word; it names a case and builds nothing.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOLERANCES, UnitaryOperator, hermitian_basis,
-                   phase_distance)
+from .core import (DEFAULT_TOLERANCES, Tolerances, UnitaryOperator,
+                   hermitian_basis, phase_distance)
 from .exceptions import CompileFailed, DimensionMismatch, ValidationError
-from .locality import makhlin_invariants
-from .protocol import FORWARD, REVERSE
+from .locality import (IMPRIMITIVE, canonical_xx_matrix, classify,
+                       extract_canonical_xx, makhlin_invariants)
+from .protocol import (CASE_IIIA, CASE_IIIB_EQUAL, CASE_IIIB_SCALED, FORWARD,
+                       REVERSE)
 
 _RESTARTS = 12
 _LM_ITERATIONS = 200
@@ -339,3 +344,36 @@ def _assemble_word(ops, pattern, err):
     for k, direction in enumerate(pattern, start=1):
         items += [Box(direction), LocalLayer(ops[2 * k].copy(), ops[2 * k + 1].copy())]
     return CircuitWord(tuple(items), achieved_error=float(err))
+
+
+def case_iii_label(u, v, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=8):
+    """(label, notes) of the canonical-form dichotomy for a pair whose gates
+    both entangle: compile a word f through U toward exp(i u1 (x) u2) with
+    at most min(4, max_boxes) boxes, evaluate it on V, and test whether
+    f(V) is again of canonical exp(i x u1 (x) u2) form (IIIB_EQUAL when it
+    matches f(U), IIIB_SCALED otherwise) or not (IIIA, the generic branch).
+    ``build_protocol`` labels such pairs "III" and never calls this.
+    """
+    d = u.dims[0]
+    try:
+        word = compile_word(u, canonical_xx_matrix(d, 1.0),
+                            max_boxes=min(4, max_boxes), tol=tol, seed=seed)
+    except CompileFailed:
+        return CASE_IIIA, "canonical-form compilation failed; generic branch"
+    fv = evaluate_word(word, v.matrix)
+    # compiled objects carry the compile error; loosen the class bound
+    loose = Tolerances(classification=1e-5)
+    try:
+        fv_op = UnitaryOperator(fv, (d, d), tol=1e-6)
+    except ValidationError:
+        return CASE_IIIA, "word image not unitary within tolerance"
+    if classify(fv_op, loose).kind != IMPRIMITIVE:
+        return CASE_IIIA, "f(V) primitive; one-sided reduction applies"
+    ext = extract_canonical_xx(fv_op, loose)
+    if ext is None:
+        return CASE_IIIA, "f(V) outside the canonical family"
+    # compared as matrices: at d=2 E(x + pi) = -E(x), so x is known only mod pi
+    gap = phase_distance(canonical_xx_matrix(d, ext.x), canonical_xx_matrix(d, 1.0))
+    if gap <= 1e-8:
+        return CASE_IIIB_EQUAL, "f(V) matches f(U) on the canonical family"
+    return CASE_IIIB_SCALED, f"f(V) canonical with x={ext.x:.6f}"

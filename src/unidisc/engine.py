@@ -32,11 +32,9 @@ Dispatch follows the locality classes of the pair:
   the flat list instead of composing nested circuit wrappers keeps the
   per-run product invariant checkable and true, which a literal expansion
   of compiled words into runs would generically violate.
-* for both-entangling pairs the case label is still derived from the
-  canonical-form dichotomy: compile the first box toward exp(i u1 (x) u2),
-  evaluate the word on the second, and test whether the result is again of
-  canonical exp(i x u1 (x) u2) form.  It is applied after synthesis, to the
-  certified protocol, so a pair whose synthesis fails is never labelled.
+* both-entangling pairs are labelled III: the synthesis does not use the
+  paper's canonical-form split of that case, so the build does not compute
+  it; :func:`unidisc.compiler.case_iii_label` gives it on request.
 
 Every returned protocol carries a freshly computed verifier certificate.
 """
@@ -46,19 +44,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arc import _relative_spectrum, _widest_gap, zero_hull_state
-from .compiler import (_SYNTH_PASS, _layer_kernel, _solve_lockstep,
-                       compile_word, evaluate_word)
-from .core import (DEFAULT_TOLERANCES, PureState, Tolerances, UnitaryOperator,
+from .compiler import _SYNTH_PASS, _layer_kernel, _solve_lockstep
+from .core import (DEFAULT_TOLERANCES, PureState, UnitaryOperator,
                    basis_state, gram_schmidt_basis, hermitian_basis,
                    identity_operator, phase_distance, schmidt_split, state)
 from .exceptions import (CompileFailed, DimensionMismatch, OperatorsEqual,
                          SynthesisFailed, ValidationError)
-from .locality import (IMPRIMITIVE, PRODUCT_LOCAL, SWAP_LOCAL,
-                       canonical_xx_matrix, classify, extract_canonical_xx)
+from .locality import IMPRIMITIVE, PRODUCT_LOCAL, SWAP_LOCAL, classify
 from .protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC, CASE_IDENTITY,
-                       CASE_IIA, CASE_IIB, CASE_IIIA, CASE_IIIB_EQUAL,
-                       CASE_IIIB_SCALED, FORWARD, REVERSE, LoccProtocol,
-                       MeasurementPlan, Run)
+                       CASE_IIA, CASE_IIB, CASE_III, FORWARD, REVERSE,
+                       LoccProtocol, MeasurementPlan, Run)
 from .sequential import _plane_rotation, _runs_for_arc, find_sequential_scheme
 from .verifier import _branches, _report, outcome_probabilities
 
@@ -122,9 +117,6 @@ def build_protocol(u, v, tol=DEFAULT_TOLERANCES, seed=0, max_boxes=8):
             f"case {proto.case_label}: certificate failed "
             f"({proto.certificate.summary()})",
             best_overlap=proto.certificate.overlap)
-    if kinds == (IMPRIMITIVE, IMPRIMITIVE):
-        label, notes = _case_iii_label(u, v, tol, seed, max_boxes)
-        proto = replace(proto, case_label=label, notes=notes)
     return proto
 
 
@@ -169,12 +161,15 @@ def _wrap_rotation(phases, vectors):
     gives the arc min(2 Theta(T), pi), the most any x can give since arcs
     add under products.  A side is wrapped only when Theta(T) < pi, where
     the ends, read from the one gap wider than pi, are the farthest apart.
+    The plane runs from the arc's start to its end, not in eigenphase index
+    order, so a global phase of T, which may carry an eigenphase past 2 pi,
+    leaves x as it is instead of turning it into x^dag.
     """
-    k = _widest_gap(phases)[0]
-    j, k = sorted(((k - 1) % len(phases), k))
+    start = _widest_gap(phases)[0]
+    end = (start - 1) % len(phases)
     lam = np.exp(1j * phases)
-    t = np.arcsin(min(1.0, np.sqrt(2.0) / np.abs(lam[j] - lam[k])))
-    return _plane_rotation(vectors, j, k, t)
+    t = np.arcsin(min(1.0, np.sqrt(2.0) / np.abs(lam[start] - lam[end])))
+    return _plane_rotation(vectors, start, end, t)
 
 
 def _box_uses(arc, wrap, tol):
@@ -253,33 +248,6 @@ def _case_sequential(u, v, cu, cv, tol):
     else:
         label, notes = CASE_IA, f"sequential factor discrimination on {side}"
     return _finalize(label, runs, alice_in, bob_in, u, v, tol, notes=notes)
-
-
-def _case_iii_label(u, v, tol, seed, max_boxes):
-    """Canonical-form dichotomy for both-entangling pairs (label only)."""
-    d = u.dims[0]
-    try:
-        word = compile_word(u, canonical_xx_matrix(d, 1.0),
-                            max_boxes=min(4, max_boxes), tol=tol, seed=seed)
-    except CompileFailed:
-        return CASE_IIIA, "canonical-form compilation failed; generic branch"
-    fv = evaluate_word(word, v.matrix)
-    # compiled objects carry the compile error; loosen the class bound
-    loose = Tolerances(classification=1e-5)
-    try:
-        fv_op = UnitaryOperator(fv, (d, d), tol=1e-6)
-    except ValidationError:
-        return CASE_IIIA, "word image not unitary within tolerance"
-    if classify(fv_op, loose).kind != IMPRIMITIVE:
-        return CASE_IIIA, "f(V) primitive; one-sided reduction applies"
-    ext = extract_canonical_xx(fv_op, loose)
-    if ext is None:
-        return CASE_IIIA, "f(V) outside the canonical family"
-    # compared as matrices: at d=2 E(x + pi) = -E(x), so x is known only mod pi
-    gap = phase_distance(canonical_xx_matrix(d, ext.x), canonical_xx_matrix(d, 1.0))
-    if gap <= 1e-8:
-        return CASE_IIIB_EQUAL, "f(V) matches f(U) on the canonical family"
-    return CASE_IIIB_SCALED, f"f(V) canonical with x={ext.x:.6f}"
 
 
 class _SynthesisProblem:
@@ -420,7 +388,7 @@ def _synthesize_entangling(u, v, kinds, tol, seed, max_boxes):
     """
     d = u.dims[0]
     chains = tuple(kind == IMPRIMITIVE for kind in kinds)
-    label = (CASE_IIIA if all(chains) else
+    label = (CASE_III if all(chains) else
              CASE_IIA if PRODUCT_LOCAL in kinds else CASE_IIB)
     best, eye = np.inf, np.eye(d, dtype=complex)
     arc = _relative_spectrum(u, v, tol)[3]

@@ -21,19 +21,21 @@ BOB = "Bob"
 FORWARD = "forward"
 REVERSE = "reverse"
 
-# case labels for the dispatch of build_protocol
+# case labels for the dispatch of build_protocol; IIIA and IIIB_* are
+# compiler.case_iii_label's refinement of III, which older protocol files carry
 CASE_IA = "IA"
 CASE_IB = "IB"
 CASE_IC = "IC"
 CASE_IIA = "IIA"
 CASE_IIB = "IIB"
+CASE_III = "III"
 CASE_IIIA = "IIIA"
 CASE_IIIB_EQUAL = "IIIB_EQUAL"
 CASE_IIIB_SCALED = "IIIB_SCALED"
 CASE_IDENTITY = "IDENTITY_VS_OTHER"
 
-CASE_LABELS = (CASE_IA, CASE_IB, CASE_IC, CASE_IIA, CASE_IIB, CASE_IIIA,
-               CASE_IIIB_EQUAL, CASE_IIIB_SCALED, CASE_IDENTITY)
+CASE_LABELS = (CASE_IA, CASE_IB, CASE_IC, CASE_IIA, CASE_IIB, CASE_III,
+               CASE_IIIA, CASE_IIIB_EQUAL, CASE_IIIB_SCALED, CASE_IDENTITY)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ from unidisc.core import (UnitaryOperator, identity_operator, phase_distance,
                           random_unitary)
 from unidisc.exceptions import ParseError, ValidationError
 from unidisc.io import (_runs_from_json, dumps_artifact, load_operator,
-                        matrix_from_json, protocol_from_json, protocol_to_json,
+                        load_protocol, matrix_from_json, protocol_from_json, protocol_to_json,
                         save_operator, vector_from_json)
-from unidisc.locality import operator_schmidt, swap_operator
+from unidisc.locality import canonical_xx_operator, operator_schmidt, swap_operator
 from unidisc.engine import build_protocol
 
 from conftest import (CNOT_MAT, ENTANGLING_PAIRS, ISWAP_MAT, SZ, haar_two_qudit,
@@ -171,6 +171,41 @@ def test_cli_classify_writes_the_operator_schmidt_values(tmp_path, name, gate, k
     data = json.loads(out.read_text())
     assert data["class"] == kind
     assert data["schmidt_values"] == operator_schmidt(load_operator(str(path)))[0].tolist()
+
+
+def test_cli_classify_pair_gives_the_case_iii_label(tmp_path, capsys):
+    paths = []
+    for x in (1.0, 0.4):
+        paths.append(str(tmp_path / f"E{x}.json"))
+        save_operator(paths[-1], canonical_xx_operator(2, x))
+    out = tmp_path / "label.json"
+    assert main(["classify", *paths, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "case = IIIB_SCALED", "notes = f(V) canonical with x=0.400000"]
+    data = json.loads(out.read_text())
+    assert (data["label"], data["notes"]) == (
+        "IIIB_SCALED", "f(V) canonical with x=0.400000")
+    assert "class" not in data
+
+
+def test_cli_classify_pair_needs_two_entangling_gates(opfiles, capsys):
+    assert main(["classify", opfiles["identity"], opfiles["cnot"]]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "ValidationError: the case-III label needs two entangling gates, "
+        "got ProductLocal and Imprimitive")
+
+
+def test_cli_verifies_a_protocol_file_labelled_iiia(tmp_path, capsys):
+    # written by ``discriminate --seed 0`` when builds still computed the
+    # case-III label, for the IIIA d=2 s=0 pair; builds now label it III
+    path = os.path.join(os.path.dirname(__file__), "data", "iiia-d2-s0-protocol.json")
+    ops = []
+    for name, op in zip("uv", ENTANGLING_PAIRS["IIIA"](2, 0)):
+        ops.append(str(tmp_path / f"{name}.json"))
+        save_operator(ops[-1], op)
+    assert load_protocol(path).case_label == "IIIA"
+    assert main(["verify", path, *ops]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "embedded report matches"
 
 
 def test_cli_equal_operators_exit_1(opfiles, capsys):

@@ -8,10 +8,9 @@ import unidisc.compiler
 from unidisc.compiler import (_ONE_BOX_GAP, _STALL_WINDOW, _SYNTH_PASS, Box,
                               CircuitWord, LocalLayer, _CompileProblem,
                               _damped_steps, _one_box_gap, _solve_lockstep,
-                              compile_word, evaluate_word)
+                              case_iii_label, compile_word, evaluate_word)
 from unidisc.core import (DEFAULT_TOLERANCES, UnitaryOperator, phase_distance,
                           random_unitary)
-from unidisc.engine import _case_iii_label
 from unidisc.exceptions import CompileFailed, ValidationError
 from unidisc.locality import (PRODUCT_LOCAL, canonical_xx_matrix,
                               canonical_xx_operator, classify)
@@ -173,7 +172,7 @@ def test_compile_failure_best_word_is_the_best_restart():
 @pytest.mark.parametrize("s, boxes", [(0, 2), (1, 2)])
 def test_case_iii_canonical_compile_outcomes(s, boxes):
     # the canonical-form compile behind the case-III label of the
-    # criterion-7 Haar pairs (arguments as in engine._case_iii_label); one
+    # criterion-7 Haar pairs (arguments as in compiler.case_iii_label); one
     # box cannot reach E(1) from a Haar gate, so two is the least
     q = haar_two_qudit(2, 2 * s + 11001)
     word = compile_word(q, canonical_xx_matrix(2, 1.0), max_boxes=4, seed=s)
@@ -269,7 +268,7 @@ def test_one_box_gap_rules_out_the_criterion7_labels(monkeypatch):
         assert _one_box_gap(u.matrix, target) > _ONE_BOX_GAP
         assert _one_box_gap(u.matrix.conj().T, target) > _ONE_BOX_GAP
         counts.clear()
-        assert _case_iii_label(u, v, DEFAULT_TOLERANCES, s, 8)[0] == "IIIA"
+        assert case_iii_label(u, v, DEFAULT_TOLERANCES, s, 8)[0] == "IIIA"
         assert counts and 1 not in counts
 
 

@@ -10,9 +10,10 @@ import unidisc.compiler
 import unidisc.engine
 import unidisc.verifier
 from unidisc.arc import _relative_spectrum, theta
+from unidisc.compiler import case_iii_label
 from unidisc.core import (DEFAULT_TOLERANCES, Tolerances, UnitaryOperator, basis_state,
-                          identity_operator, random_unitary, tensor)
-from unidisc.engine import (DecisionTree, _case_iii_label, _direction_patterns,
+                          identity_operator, random_unitary, tensor, unitary_eig)
+from unidisc.engine import (DecisionTree, _direction_patterns,
                             _solve_lockstep, _SynthesisProblem, _wrap_rotation,
                             build_protocol, identify, identity_vs_other,
                             multi_discriminate)
@@ -22,8 +23,8 @@ from unidisc.io import dumps_artifact, protocol_to_json
 from unidisc.locality import canonical_xx_operator, conjugation_set, \
     extract_canonical_xx, swap_operator
 from unidisc.protocol import (BOB, CASE_IA, CASE_IB, CASE_IC,
-                              CASE_IDENTITY, CASE_IIA, CASE_IIB, FORWARD,
-                              REVERSE, MeasurementPlan)
+                              CASE_IDENTITY, CASE_IIA, CASE_IIB, CASE_III,
+                              FORWARD, REVERSE, MeasurementPlan)
 from unidisc.verifier import outcome_probabilities, simulate, verify
 
 from conftest import (ENTANGLING_PAIRS, SX, SZ, haar_two_qudit, product_operator,
@@ -447,7 +448,8 @@ def test_entangling_benchmark_pairs_keep_their_box_uses(case, d, s, ceiling):
     # the pairs of the benchmark's entangling workload, build seed s
     u, v = ENTANGLING_PAIRS[case](d, s)
     proto = build_protocol(u, v, seed=s)
-    assert proto.case_label == case and proto.certificate.passed
+    assert proto.case_label == (CASE_III if case == "IIIA" else case)
+    assert proto.certificate.passed
     assert proto.box_uses <= ceiling
     # the first run's layer is folded into the input
     eye = np.eye(d)
@@ -466,7 +468,7 @@ def test_entangling_benchmark_solves_stop_early(monkeypatch):
             return _evaluate(self, x)
         monkeypatch.setattr(cls, "evaluate", counting)
     u, v = ENTANGLING_PAIRS["IIIA"](2, 0)
-    assert _case_iii_label(u, v, DEFAULT_TOLERANCES, 0, 8)[0] == "IIIA"
+    assert case_iii_label(u, v, DEFAULT_TOLERANCES, 0, 8)[0] == "IIIA"
     assert set(counts) == {"_CompileProblem"} and counts["_CompileProblem"] <= 40
     counts.clear()
     proto = build_protocol(*ENTANGLING_PAIRS["IIIA"](2, 1), seed=1)
@@ -503,24 +505,46 @@ def test_small_arc_failure_names_the_depths_searched(max_boxes):
             f"since ceil(pi/Theta) = {uses}")
 
 
-def test_case_iii_label_runs_only_on_a_synthesized_protocol(monkeypatch):
+def _compile_word_calls(monkeypatch):
+    """Calls of ``compiler.compile_word``, recorded as they happen."""
     calls = []
-    compile_word = unidisc.engine.compile_word
-    monkeypatch.setattr(unidisc.engine, "compile_word",
+    compile_word = unidisc.compiler.compile_word
+    monkeypatch.setattr(unidisc.compiler, "compile_word",
                         lambda *a, **k: (calls.append(1), compile_word(*a, **k))[1])
+    return calls
+
+
+def test_case_iii_label_runs_only_on_a_synthesized_protocol(monkeypatch):
+    # the build labels both-entangling pairs III and compiles no word
+    calls = _compile_word_calls(monkeypatch)
+    assert not hasattr(unidisc.engine, "compile_word")
     with pytest.raises(CompileFailed, match="best residual 9.860e-02"):
         build_protocol(*ENTANGLING_PAIRS["IIIA"](3, 0), seed=0, max_boxes=1)
-    assert not calls
     proto = build_protocol(*ENTANGLING_PAIRS["IIIA"](2, 0), seed=0)
-    assert len(calls) == 1
-    assert (proto.case_label, proto.notes) == (
-        "IIIA", "f(V) outside the canonical family")
+    assert not calls
+    assert (proto.case_label, proto.notes) == ("III", "")
+
+
+@pytest.mark.parametrize("u, v, seed", [
+    (canonical_xx_operator(2, 1.0), canonical_xx_operator(2, 0.4), 0),
+    (canonical_xx_operator(3, 1.0), canonical_xx_operator(3, 0.4), 0),
+    (*ENTANGLING_PAIRS["IIIA"](2, 0), 0),
+    (*ENTANGLING_PAIRS["IIIA"](2, 1), 1)],
+    ids=["E1-E0.4-d2", "E1-E0.4-d3", "IIIA-2-0", "IIIA-2-1"])
+def test_both_entangling_builds_compile_no_word(monkeypatch, u, v, seed):
+    # case_iii_label gives the canonical pairs IIIB_SCALED and the two
+    # workload pairs IIIA; the build computes neither
+    calls = _compile_word_calls(monkeypatch)
+    proto = build_protocol(u, v, seed=seed)
+    assert proto.certificate.passed
+    assert (proto.case_label, proto.notes) == ("III", "")
+    assert not calls
 
 
 @pytest.mark.parametrize("s", range(4))
 def test_case_iii_label_of_criterion7_haar_pairs(s):
     u, v = haar_two_qudit(2, 2 * s + 11001), haar_two_qudit(2, 2 * s + 12001)
-    assert _case_iii_label(u, v, DEFAULT_TOLERANCES, s, 8) == (
+    assert case_iii_label(u, v, DEFAULT_TOLERANCES, s, 8) == (
         "IIIA", "f(V) outside the canonical family")
 
 
@@ -529,14 +553,15 @@ def test_case_iii_label_equal_up_to_phase(d):
     # at d=2 the extracted x is 1 - pi, since E(x + pi) = -E(x)
     u = canonical_xx_operator(d, 1.0)
     v = UnitaryOperator(np.exp(2.5j) * u.matrix, (d, d))
-    assert _case_iii_label(u, v, DEFAULT_TOLERANCES, 0, 8) == (
+    assert case_iii_label(u, v, DEFAULT_TOLERANCES, 0, 8) == (
         "IIIB_EQUAL", "f(V) matches f(U) on the canonical family")
 
 
-def test_case_iii_label_ignores_global_phase():
-    u = canonical_xx_operator(2, 1.0)
-    v = UnitaryOperator(np.exp(0.3j) * canonical_xx_operator(2, 0.4).matrix, (2, 2))
-    assert _case_iii_label(u, v, DEFAULT_TOLERANCES, 0, 8) == (
+@pytest.mark.parametrize("d", [2, 3])
+def test_case_iii_label_ignores_global_phase(d):
+    u = canonical_xx_operator(d, 1.0)
+    v = UnitaryOperator(np.exp(0.3j) * canonical_xx_operator(d, 0.4).matrix, (d, d))
+    assert case_iii_label(u, v, DEFAULT_TOLERANCES, 0, 8) == (
         "IIIB_SCALED", "f(V) canonical with x=0.400000")
 
 
@@ -554,6 +579,22 @@ def test_wrap_rotation_gives_the_largest_wrapped_arc(d):
         wrapped = UnitaryOperator(x.conj().T @ t @ x @ t.conj().T, (d,))
         t_arc = theta(UnitaryOperator(t, (d,))).theta
         assert abs(theta(wrapped).theta - min(2 * t_arc, np.pi)) < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_wrap_rotation_ignores_the_global_phase_of_t(d):
+    # e^{i phi} T shifts every eigenphase alike and may carry one past 2 pi;
+    # the plane still runs from the arc's start to its end, so x stays put
+    # instead of turning into x^dag
+    rng = np.random.default_rng(d)
+    for k in range(30):
+        q = random_unitary(d, 700 + k).matrix
+        phases = rng.uniform(0, 2 * np.pi) + np.sort(rng.uniform(0, 3.0, d))
+        t = (q * np.exp(1j * phases)) @ q.conj().T
+        x = _wrap_rotation(*unitary_eig(t))
+        for phi in 2 * np.pi * (np.arange(12) + 0.5) / 12:
+            shifted = _wrap_rotation(*unitary_eig(np.exp(1j * phi) * t))
+            assert np.abs(shifted - x).max() < 1e-9
 
 
 def test_conjugation_wrap_cancels_canonical_family():

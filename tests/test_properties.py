@@ -34,7 +34,7 @@ from unidisc.exceptions import (CompileFailed, OperatorsEqual, SynthesisFailed,
 from unidisc.io import dumps_artifact, protocol_to_json
 from unidisc.locality import swap_operator
 from unidisc.protocol import (CASE_IA, CASE_IB, CASE_IC, CASE_IIA, CASE_IIB,
-                              CASE_IIIA)
+                              CASE_III, CASE_IIIA)
 
 from conftest import ENTANGLING_PAIRS, SX, SZ
 
@@ -275,7 +275,8 @@ def test_entangling_scope_sweep_gives_typed_outcomes(case, d, s):
         proto = build_protocol(u, v, seed=s, max_boxes=1)
     except (SynthesisFailed, CompileFailed, OperatorsEqual, ValidationError):
         return
-    assert proto.case_label == case and proto.certificate.passed
+    assert proto.case_label == (CASE_III if case == CASE_IIIA else case)
+    assert proto.certificate.passed
     assert checker.check_protocol(proto, u.matrix, v.matrix) == []
 
 
