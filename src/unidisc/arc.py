@@ -3,18 +3,20 @@
 Theta(U) is the length of the smallest closed arc of the unit circle
 containing every eigenvalue of U.  Two different unitaries U, V admit an
 input state with U|psi> orthogonal to V|psi> exactly when
-Theta(U^dag V) >= pi; the state itself comes from a convex combination of
-eigenvalues of U^dag V summing to zero.
+Theta(U^dag V) >= pi (Acin 2001), the N = 0 case of the sequential count
+that :func:`_runs_for_arc` states for every caller; the state itself comes
+from a convex combination of eigenvalues of U^dag V summing to zero.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOLERANCES, PureState, TWO_PI, phase_distance,
-                   unitary_eig)
+from .core import DEFAULT_TOLERANCES, TWO_PI, phase_distance, unitary_eig
 from .exceptions import (DimensionMismatch, NotSingleRunDiscriminable,
                          OperatorsEqual)
+
+_CEIL_NUDGE = 1e-9  # protects exact ratios like pi / (pi/3) from float drift
 
 
 @dataclass(frozen=True)
@@ -98,10 +100,20 @@ def _relative_spectrum(u, v, tol):
     return w, phases, vectors, theta_val
 
 
+def _runs_for_arc(theta_val, tol):
+    """N = ceil(pi / theta) - 1 aux ops for the arc theta of U^dag V (Duan,
+    Feng and Ying 2007); N = 0, one use, exactly when theta >= pi within the
+    classification tolerance (Acin 2001)."""
+    if theta_val >= np.pi - tol.classification:
+        return 0
+    if theta_val <= tol.classification:
+        raise OperatorsEqual("Theta(U^dag V) vanishes within tolerance")
+    return max(int(np.ceil(np.pi / theta_val - _CEIL_NUDGE)) - 1, 1)
+
+
 def single_run_discriminable(u, v, tol=DEFAULT_TOLERANCES):
-    """True iff Theta(U^dag V) >= pi (within the classification tolerance)."""
-    theta_val = _relative_spectrum(u, v, tol)[3]
-    return bool(theta_val >= np.pi - tol.classification)
+    """True iff one use tells U from V: :func:`_runs_for_arc` gives N = 0."""
+    return _runs_for_arc(_relative_spectrum(u, v, tol)[3], tol) == 0
 
 
 def zero_hull_state(phases, vectors, tol=DEFAULT_TOLERANCES):
@@ -109,15 +121,17 @@ def zero_hull_state(phases, vectors, tol=DEFAULT_TOLERANCES):
 
     Picked in closed form, by threshold comparisons alone, from the lowest
     member of each merged phase, r_0 = s, r_1, ... in phase order:
-    (a) the first pair i < j within 2e-9 of antipodal, as a two-point state;
+    (a) the most nearly antipodal pair, over all members, if within 2e-9
+        of antipodal, as a two-point state; the first pair r_i, r_j (i < j)
+        within 1e-12 of its defect is taken in its place;
     (b) else the triangle (s, r_m, r_{m+1}), r_m the last representative
         within pi of s, when r_{m+1} - r_m <= pi.  A triangle on the circle
         holds the origin iff each of its three arcs is at most pi: s -> r_m
         and r_{m+1} -> s are by the choice of m, and r_m -> r_{m+1} is a gap,
         at most 2 pi - Theta.  So the triangle exists whenever Theta > pi
         (Theta = pi is case (a)); its weights solve a 3x3 system;
-    (c) else the first pair within the classification tolerance of
-        antipodal, if its two-point value is within the orthogonality one.
+    (c) else the pair picked as in (a) within the classification tolerance
+        of antipodal, if its two-point value is within the orthogonality one.
     Returns ``(amplitudes, certified_overlap)``, or ``None`` when the origin
     is outside the convex hull.
     """
@@ -125,7 +139,7 @@ def zero_hull_state(phases, vectors, tol=DEFAULT_TOLERANCES):
     phases[phases > TWO_PI - 1e-12] = 0.0
     lam = np.exp(1j * phases)
     reps = _merge_circular(phases, tol.classification)[1]
-    sep = np.abs(phases[reps, None] - phases[reps])
+    sep = np.abs(phases[:, None] - phases)
     defect = np.abs(np.minimum(sep, TWO_PI - sep) - np.pi)
 
     def build(indices, weights):
@@ -137,12 +151,15 @@ def zero_hull_state(phases, vectors, tol=DEFAULT_TOLERANCES):
         return psi, float(overlap)
 
     def pair_state(band):
-        # the first pair within ``band`` of antipodal, weighted so that
+        # the pair of (a) within ``band`` of antipodal, weighted so that
         # |p lam_i + (1-p) lam_j| is minimal
-        hits = np.argwhere(np.triu(defect <= band, 1))
-        if hits.size == 0:
+        i, j = np.unravel_index(np.argmin(defect), defect.shape)
+        if defect[i, j] > band:
             return None
-        i, j = reps[hits[0]]
+        near = defect[np.ix_(reps, reps)] <= min(band, defect[i, j] + 1e-12)
+        hits = np.argwhere(np.triu(near, 1))
+        if hits.size:
+            i, j = reps[hits[0]]
         d = lam[i] - lam[j]
         p = float(np.clip(-np.real(np.conj(d) * lam[j]) / abs(d) ** 2, 0.0, 1.0))
         return build((i, j), [p, 1 - p])
@@ -161,23 +178,12 @@ def zero_hull_state(phases, vectors, tol=DEFAULT_TOLERANCES):
 
 
 def discriminating_state(u, v, tol=DEFAULT_TOLERANCES):
-    """Input state making U|psi> and V|psi> orthogonal, when one exists.
-
-    Requires ``single_run_discriminable(u, v)``; the returned state carries
-    a certified overlap |<psi|U^dag V|psi>| <= the orthogonality tolerance.
-    """
-    w, phases, vectors, theta_val = _relative_spectrum(u, v, tol)
-    if not theta_val >= np.pi - tol.classification:
+    """Input state making U|psi> and V|psi> orthogonal, when one exists: the
+    one-use sequential scheme's input, with its certified overlap
+    |<psi|U^dag V|psi>| <= the orthogonality tolerance."""
+    from .sequential import find_sequential_scheme  # sequential imports arc
+    spectrum = _relative_spectrum(u, v, tol)
+    if _runs_for_arc(spectrum[3], tol):
         raise NotSingleRunDiscriminable(
-            "Theta(U^dag V) < pi: no single-run discriminating state exists"
-        )
-    result = zero_hull_state(phases, vectors, tol)
-    if result is None:  # pragma: no cover - excluded by the criterion above
-        raise NotSingleRunDiscriminable("origin not inside the eigenvalue hull")
-    psi, _ = result
-    overlap = abs(np.vdot(psi, w @ psi))
-    if overlap > tol.orthogonality:  # pragma: no cover - construction is exact
-        raise NotSingleRunDiscriminable(
-            f"constructed state has overlap {overlap:.3e} above tolerance"
-        )
-    return PureState(psi, u.dims)
+            "Theta(U^dag V) < pi: no single-run discriminating state exists")
+    return find_sequential_scheme(u, v, tol, spectrum=spectrum).input

@@ -8,12 +8,13 @@ Dispatch follows the locality classes of the pair:
   IA (both product) runs the single-qudit sequential scheme of the
   differing factors on the side that needs fewer box uses: N - 1 copies of
   the factor's U^dag and one possibly capped last op between the box uses.
-  IC (both swap-type) takes one forward run when a factor pair's relative
-  operator has arc pi; otherwise it is IA on the wrapped pair
-  f(X) = X (X1 (x) X2) X^dag, which is product, and each f use costs a
-  reverse and a forward box application.  The wrap's local unitary is a
-  closed-form rotation in the plane of the eigenvectors at the two ends of
-  the arc of the chosen side's relative operator.
+  IC (both swap-type) takes one forward run, with the one-use scheme's
+  input, when a factor pair's relative operator has arc pi; otherwise it
+  is IA on the wrapped pair f(X) = X (X1 (x) X2) X^dag, which is product,
+  and each f use costs a reverse and a forward box application.  The
+  wrap's local unitary is a closed-form rotation in the plane of the
+  eigenvectors at the two ends of the arc of the chosen side's relative
+  operator.
 * one or both entangling (cases II*, III*): the flat run list (local layers,
   box directions, product input) is synthesized directly by seeded
   least-squares over the layer group, with residuals enforcing (a) a
@@ -43,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arc import _relative_spectrum, _widest_gap, zero_hull_state
+from .arc import _relative_spectrum, _runs_for_arc, _widest_gap
 from .compiler import _SYNTH_PASS, _layer_kernel, _solve_lockstep
 from .core import (DEFAULT_TOLERANCES, PureState, UnitaryOperator,
                    basis_state, gram_schmidt_basis, hermitian_basis,
@@ -54,7 +55,7 @@ from .locality import IMPRIMITIVE, PRODUCT_LOCAL, SWAP_LOCAL, classify
 from .protocol import (ALICE, BOB, CASE_IA, CASE_IB, CASE_IC, CASE_IDENTITY,
                        CASE_IIA, CASE_IIB, CASE_III, FORWARD, REVERSE,
                        LoccProtocol, MeasurementPlan, Run)
-from .sequential import _plane_rotation, _runs_for_arc, find_sequential_scheme
+from .sequential import _plane_rotation, find_sequential_scheme
 from .verifier import _branches, _report, outcome_probabilities
 
 _SYNTH_RESTARTS = 6
@@ -174,36 +175,35 @@ def _wrap_rotation(phases, vectors):
 
 def _box_uses(arc, wrap, tol):
     """Box uses of the scheme on a side whose factors' relative operator has
-    the spectral arc ``arc``: ceil(pi / Theta) for IA, 2 ceil(pi /
-    min(2 Theta, pi)) for the IC wrap; inf for an arc that vanishes within
-    the classification tolerance."""
+    the spectral arc ``arc``: ceil(pi / Theta) for IA, and for IC when that
+    is one use (the forward run); else 2 ceil(pi / min(2 Theta, pi)) for the
+    IC wrap; inf for an arc that vanishes within the classification
+    tolerance."""
     if arc <= tol.classification:
         return np.inf
-    if wrap:
+    n = _runs_for_arc(arc, tol)
+    if wrap and n:
         return 2 * (_runs_for_arc(min(2 * arc, np.pi), tol) + 1)
-    return _runs_for_arc(arc, tol) + 1
+    return n + 1
 
 
 def _case_sequential(u, v, cu, cv, tol):
     """Cases IA (both product) and IC (both swap-type).
 
-    IC first tries one forward run.  With U = (U_A (x) U_B) P, it maps
-    a (x) b to U_A b (x) U_B a, so the final overlap is <b|T_A|b> <a|T_B|a>
-    for T_X = U_X^dag V_X.  When Theta(T_A) reaches pi (Acin 2001), Bob's
-    input from the zero hull of T_A's spectrum decides the pair in one use,
-    Alice measuring; failing that, the same holds for T_B with the roles
-    mirrored.  T_A is tried first, whatever the margins.
-
-    Otherwise both cases run a single-qudit sequential scheme on one side:
-    the side with fewer box uses, ceil(pi / Theta(T_X)) for IA and
-    2 ceil(pi / min(2 Theta(T_X), pi)) for IC, Alice on equal counts.  A side
-    whose factors agree up to phase is never decomposed.  Case IC wraps
+    Both run a single-qudit sequential scheme on the side with fewer box
+    uses (:func:`_box_uses`), Alice on equal counts.  A side whose factors
+    agree up to phase is never decomposed, nor is Bob's when Alice's takes
+    one use.  IC takes one forward run when Theta(T_X) reaches pi (Acin
+    2001), T_X = U_X^dag V_X: with U = (U_A (x) U_B) P, a run maps a (x) b
+    to U_A b (x) U_B a, so the final overlap is <b|T_A|b> <a|T_B|a>, and
+    the one-use scheme's input for T_A, given to Bob, decides the pair with
+    Alice measuring (mirrored for T_B).  Otherwise IC wraps
     f(X) = X (X1 (x) X2) X^dag: f(U) = U_A X2 U_A^dag (x) U_B X1 U_B^dag,
     so the wrapped pair is a pair of product operators whose chosen-side
     factors differ; each f use costs a reverse and a forward box
     application, and the wrap's x is the closed-form rotation of
     :func:`_wrap_rotation`.  Every spectrum is computed once: T_X's feeds
-    the forward run, the side choice, the wrap and the IA scheme.
+    the side choice, the wrap and the scheme.
     """
     d = u.dims[0]
     eye = np.eye(d, dtype=complex)
@@ -212,22 +212,16 @@ def _case_sequential(u, v, cu, cv, tol):
     factors = dict(zip((ALICE, BOB), zip(cu.factors, cv.factors)))
     spectra = {}
     for side, (f, g) in factors.items():
-        if phase_distance(f, g) <= tol.classification:
-            continue
-        spectra[side] = _relative_spectrum(f, g, tol)
-        _, phases, vectors, arc = spectra[side]
-        found = (zero_hull_state(phases, vectors, tol)
-                 if wrap and arc >= np.pi - tol.classification else None)
-        if found is not None:
-            probe = PureState(found[0], (d,))
-            alice_in, bob_in = (idle, probe) if side == ALICE else (probe, idle)
-            return _finalize(CASE_IC, [Run(eye, eye, FORWARD)], alice_in, bob_in,
-                             u, v, tol, notes=f"one forward run, discriminating "
-                                              f"side {side}")
+        if phase_distance(f, g) > tol.classification:
+            spectra[side] = _relative_spectrum(f, g, tol)
+            if _box_uses(spectra[side][3], wrap, tol) == 1:
+                break
     if not spectra:
         raise OperatorsEqual("the factors agree up to a global phase on both sides")
     side = min(spectra, key=lambda s: _box_uses(spectra[s][3], wrap, tol))
     pair, spectrum = factors[side], spectra[side]
+    forward = wrap and _runs_for_arc(spectrum[3], tol) == 0
+    wrap = wrap and not forward
     if wrap:
         x = _wrap_rotation(*spectrum[1:3])
         x1, x2 = (eye, x) if side == ALICE else (x, eye)
@@ -242,12 +236,15 @@ def _case_sequential(u, v, cu, cv, tol):
             runs += [Run(*local, REVERSE), Run(x1, x2, FORWARD)]
         else:
             runs.append(Run(*local, FORWARD))
-    alice_in, bob_in = (scheme.input, idle) if side == ALICE else (idle, scheme.input)
-    if wrap:
+    inputs = (scheme.input, idle) if side == ALICE else (idle, scheme.input)
+    if forward:   # the run's swap carries the input to the side it probes
+        inputs = inputs[::-1]
+        label, notes = CASE_IC, f"one forward run, discriminating side {side}"
+    elif wrap:
         label, notes = CASE_IC, f"conjugation wrap, discriminating side {side}"
     else:
         label, notes = CASE_IA, f"sequential factor discrimination on {side}"
-    return _finalize(label, runs, alice_in, bob_in, u, v, tol, notes=notes)
+    return _finalize(label, runs, *inputs, u, v, tol, notes=notes)
 
 
 class _SynthesisProblem:

@@ -2,7 +2,7 @@
 auxiliary unitaries so the two hypothesis outputs become orthogonal.
 
 For different U, V with arc Theta(U^dag V) = delta, N = ceil(pi/delta) - 1
-auxiliary operations X_1..X_N suffice:
+auxiliary operations X_1..X_N suffice (:func:`arc._runs_for_arc`):
 
     U X_N U ... X_1 U |psi>   is orthogonal to   V X_N V ... X_1 V |psi>.
 
@@ -14,21 +14,19 @@ rotation in the plane of A's two extreme eigenvectors by the closed-form
 angle that puts the extreme eigenphases of W_N exactly pi apart.  A scheme
 thus holds N - 1 copies of one U^dag and one possibly capped last op.  The
 input state comes from one eigendecomposition of the final W, recomputed
-from the real aux matrices (A's own when N = 0); every scheme is certified
-by recomputing the overlap directly, and one above tolerance raises
-SynthesisFailed.
+from the real aux matrices; every scheme is certified by recomputing the
+overlap directly, and one above tolerance raises SynthesisFailed.  N = 0
+makes no aux op and takes A's zero-hull state: every one-use input.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arc import _relative_spectrum, _widest_gap, zero_hull_state
+from .arc import _relative_spectrum, _runs_for_arc, _widest_gap, zero_hull_state
 from .core import DEFAULT_TOLERANCES, PureState, TWO_PI, UnitaryOperator, unitary_eig
-from .exceptions import DimensionMismatch, OperatorsEqual, SynthesisFailed
+from .exceptions import DimensionMismatch, SynthesisFailed
 from .locality import _unitarize
-
-_CEIL_NUDGE = 1e-9  # protects exact ratios like pi / (pi/3) from float drift
 
 
 @dataclass(frozen=True)
@@ -43,13 +41,6 @@ class SequentialScheme:
     def uses(self):
         """Number of black-box applications (= len(aux_ops) + 1)."""
         return len(self.aux_ops) + 1
-
-
-def _runs_for_arc(theta_val, tol):
-    """N = ceil(pi / theta) - 1 for the arc theta of U^dag V."""
-    if theta_val <= tol.classification:
-        raise OperatorsEqual("Theta(U^dag V) vanishes within tolerance")
-    return max(int(np.ceil(np.pi / theta_val - _CEIL_NUDGE)) - 1, 0)
 
 
 def required_runs(u, v, tol=DEFAULT_TOLERANCES):
@@ -96,8 +87,8 @@ def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES, spectrum=None):
     of W_N exactly pi apart.  N >= 1 puts the arc below pi, so its ends,
     read from the one gap wider than pi, admit no float tie.  The input
     state and the overlap come from the eigendecomposition of W_N
-    recomputed from the real aux matrices (with no aux op W_N is A itself);
-    a certificate above the orthogonality tolerance raises SynthesisFailed.
+    recomputed from the real aux matrices (with no aux op W_N is A, and no
+    U^dag is formed); a certificate above tolerance raises SynthesisFailed.
     ``spectrum`` is ``_relative_spectrum(u, v, tol)`` when the caller has
     already computed it, and is then not computed again.
     """
@@ -105,19 +96,18 @@ def find_sequential_scheme(u, v, tol=DEFAULT_TOLERANCES, spectrum=None):
         spectrum = _relative_spectrum(u, v, tol)
     w, phases, vectors, theta_a = spectrum
     n = _runs_for_arc(theta_a, tol)
-    dims = u.dims
-    k = _widest_gap(phases)[0]       # A's arc: phases[k] round to phases[k - 1]
-    delta = float(np.mod(phases[k - 1] - phases[k], TWO_PI))
-    u_dag = _unitary_factor(u.matrix.conj().T, dims)
-    aux = [u_dag] * n
-    # N delta < pi, so only the last step can overshoot
-    if n and (n + 1) * delta > np.pi + 1e-12:
-        # columns rolled into arc order: the ends are first and last
-        rot = _plane_rotation(np.roll(vectors, -k, axis=1), 0, -1,
-                              _capped_rotation(delta, n))
-        aux[-1] = _unitary_factor(rot @ u_dag.matrix, dims)
-
-    if aux:
+    dims, aux = u.dims, []
+    if n:
+        k = _widest_gap(phases)[0]   # A's arc: phases[k] round to phases[k - 1]
+        delta = float(np.mod(phases[k - 1] - phases[k], TWO_PI))
+        u_dag = _unitary_factor(u.matrix.conj().T, dims)
+        aux = [u_dag] * n
+        # N delta < pi, so only the last step can overshoot
+        if (n + 1) * delta > np.pi + 1e-12:
+            # columns rolled into arc order: the ends are first and last
+            rot = _plane_rotation(np.roll(vectors, -k, axis=1), 0, -1,
+                                  _capped_rotation(delta, n))
+            aux[-1] = _unitary_factor(rot @ u_dag.matrix, dims)
         # U's and V's chains as one stack, one (U X, V X) step per distinct X
         stack = chain = np.stack([u.matrix, v.matrix])
         step = stack @ u_dag.matrix

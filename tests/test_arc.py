@@ -1,5 +1,7 @@
 """Tests for the spectral arc and single-run discrimination."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +11,8 @@ from unidisc.arc import (_arc_of_phases, _widest_gap, discriminating_state,
 from unidisc.core import (DEFAULT_TOLERANCES, TWO_PI, UnitaryOperator,
                           _canonical_vector_phase, identity_operator,
                           random_unitary, unitary_eig)
-from unidisc.exceptions import NotSingleRunDiscriminable, OperatorsEqual
+from unidisc.exceptions import (DimensionMismatch, NotSingleRunDiscriminable,
+                                OperatorsEqual)
 
 from conftest import SX, SZ, arc_brute_force
 
@@ -121,6 +124,12 @@ def test_single_run_rejects_equal_operators():
     shifted = UnitaryOperator(np.exp(0.4j) * u.matrix, (2,))
     with pytest.raises(OperatorsEqual):
         single_run_discriminable(u, shifted)
+
+
+@pytest.mark.parametrize("fn", [single_run_discriminable, discriminating_state])
+def test_operators_of_different_dims_are_rejected(fn):
+    with pytest.raises(DimensionMismatch, match=re.escape("dims (2,) vs (3,)")):
+        fn(identity_operator((2,)), identity_operator((3,)))
 
 
 def test_discriminating_state_identity_vs_pauli_z():

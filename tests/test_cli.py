@@ -208,6 +208,17 @@ def test_cli_verifies_a_protocol_file_labelled_iiia(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "embedded report matches"
 
 
+@pytest.mark.parametrize("command", [["discriminate", "--mode", "locc"], ["classify"]],
+                         ids=["discriminate", "classify"])
+def test_cli_operators_on_different_spaces_exit_1(tmp_path, capsys, command):
+    u, v = tmp_path / "u.json", tmp_path / "v.json"
+    save_operator(u, identity_operator((2, 2)))
+    save_operator(v, identity_operator((3, 3)))
+    assert main([*command, str(u), str(v), "--quiet"]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "ValidationError: operators live on different spaces")
+
+
 def test_cli_equal_operators_exit_1(opfiles, capsys):
     code = main(["discriminate", "--mode", "locc", opfiles["identity"],
                  opfiles["identity"], "--quiet"])

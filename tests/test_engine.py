@@ -1,5 +1,6 @@
 """Tests for LOCC protocol construction across the case families."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ import scipy.linalg
 import unidisc.compiler
 import unidisc.engine
 import unidisc.verifier
-from unidisc.arc import _relative_spectrum, theta
+from unidisc.arc import (_relative_spectrum, discriminating_state,
+                         single_run_discriminable, theta)
 from unidisc.compiler import case_iii_label
 from unidisc.core import (DEFAULT_TOLERANCES, Tolerances, UnitaryOperator, basis_state,
                           identity_operator, random_unitary, tensor, unitary_eig)
@@ -17,14 +19,16 @@ from unidisc.engine import (DecisionTree, _direction_patterns,
                             _solve_lockstep, _SynthesisProblem, _wrap_rotation,
                             build_protocol, identify, identity_vs_other,
                             multi_discriminate)
-from unidisc.exceptions import (CompileFailed, OperatorsEqual, SynthesisFailed,
-                                ValidationError)
+from unidisc.exceptions import (CompileFailed, DimensionMismatch,
+                                NotSingleRunDiscriminable, OperatorsEqual,
+                                SynthesisFailed, ValidationError)
 from unidisc.io import dumps_artifact, protocol_to_json
 from unidisc.locality import canonical_xx_operator, conjugation_set, \
     extract_canonical_xx, swap_operator
 from unidisc.protocol import (BOB, CASE_IA, CASE_IB, CASE_IC,
                               CASE_IDENTITY, CASE_IIA, CASE_IIB, CASE_III,
                               FORWARD, REVERSE, MeasurementPlan)
+from unidisc.sequential import required_runs
 from unidisc.verifier import outcome_probabilities, simulate, verify
 
 from conftest import (ENTANGLING_PAIRS, SX, SZ, haar_two_qudit, product_operator,
@@ -239,6 +243,40 @@ def test_layers_outside_the_unitarity_tolerance_fail_the_build():
     u, v = CLOSED_FORM_KINDS["IA-Alice"](3)
     with pytest.raises(SynthesisFailed, match="certificate failed .FAIL overlap=nan"):
         build_protocol(u, v, tol=Tolerances(unitarity=1e-300))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("gap", [2e-9, 5e-9, 9e-9, 2e-8])
+def test_one_use_rule_holds_alike_across_the_tie_band(d, gap):
+    # T of arc pi - gap takes one use exactly when gap is within the
+    # classification tolerance, 1e-8: for the criterion, the run count, the
+    # one-use state, and the IA and IC builds alike
+    one_use = gap <= DEFAULT_TOLERANCES.classification
+    q = random_unitary(d, 7).matrix
+    t = (q * np.exp(1j * (np.pi - gap) * np.linspace(0.0, 1.0, d))) @ q.conj().T
+    eye, t = identity_operator((d,)), UnitaryOperator(t, (d,))
+    assert single_run_discriminable(eye, t) == (required_runs(eye, t) == 0) == one_use
+    if one_use:
+        psi = discriminating_state(eye, t).amplitudes
+        assert abs(np.vdot(psi, t.matrix @ psi)) <= DEFAULT_TOLERANCES.orthogonality
+    else:
+        with pytest.raises(NotSingleRunDiscriminable):
+            discriminating_state(eye, t)
+    for swap, label in ((False, CASE_IA), (True, CASE_IC)):
+        proto = build_protocol(*_sided_pair(swap, d, np.pi - gap, 0.0))
+        assert (proto.case_label, proto.box_uses) == (label, 1 if one_use else 2)
+        assert proto.certificate.passed
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_protocol(identity_operator((2, 2)), identity_operator((3, 3))),
+     DimensionMismatch, "dims (2, 2) vs (3, 3)"),
+    (lambda: multi_discriminate([identity_operator((2, 2))]),
+     ValidationError, "need at least two hypotheses"),
+], ids=["build-dims", "multi-one-hypothesis"])
+def test_entry_points_reject_hypotheses_they_cannot_compare(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("v", [haar_two_qudit(2, 10001),

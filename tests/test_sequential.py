@@ -6,7 +6,7 @@ import pytest
 from unidisc.arc import theta, zero_hull_state
 from unidisc.core import (DEFAULT_TOLERANCES, PureState, UnitaryOperator,
                           identity_operator, random_unitary, unitary_eig)
-from unidisc.exceptions import OperatorsEqual
+from unidisc.exceptions import DimensionMismatch, OperatorsEqual
 from unidisc.sequential import (SequentialScheme, evaluate_scheme,
                                 find_sequential_scheme, required_runs)
 
@@ -26,6 +26,9 @@ def test_required_runs_formula():
     assert required_runs(eye, UnitaryOperator(SZ, (2,))) == 0
     # Theta = 2 pi / 5 -> ceil(2.5) - 1 = 2
     assert required_runs(eye, diag_op([0.0, 2 * np.pi / 5])) == 2
+    # one use once Theta >= pi - 1e-8, the classification tolerance
+    for gap, runs in ((2e-9, 0), (5e-9, 0), (9e-9, 0), (2e-8, 1)):
+        assert required_runs(eye, diag_op([0.0, np.pi - gap])) == runs
 
 
 def test_required_runs_rejects_equal():
@@ -69,6 +72,18 @@ def test_evaluate_scheme_examples():
     aux = (identity_operator((2,)),)
     silly = SequentialScheme(aux, PureState(psi, (2,)), 1.0)
     assert abs(evaluate_scheme(silly, eye, eye) - 1.0) < 1e-12
+    with pytest.raises(DimensionMismatch, match="mismatched dims"):
+        evaluate_scheme(hand, identity_operator((3,)), identity_operator((3,)))
+
+
+def test_one_use_scheme_takes_no_polar_factor(monkeypatch):
+    # N = 0 has no aux op, so U^dag is never made exactly unitary
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    scheme = find_sequential_scheme(identity_operator((3,)), diag_op([0.0, 2.0, 4.0]))
+    assert scheme.uses == 1 and not calls
+    assert find_sequential_scheme(identity_operator((2,)), diag_op([0.0, 1.0])).uses == 4
+    assert calls
 
 
 def _arc_pair(d, arc, seed):
@@ -214,16 +229,21 @@ def test_two_qudit_global_scheme():
 
 
 @pytest.mark.parametrize("d", [3, 4])
-@pytest.mark.parametrize("eps", [1e-10, 3e-9])
+@pytest.mark.parametrize("eps", [1e-11, 1e-10, 3e-10, 1e-9, 3e-9])
 def test_scheme_with_a_start_cluster_straddling_phase_zero(d, eps):
     # eigenphases -eps and +eps form one cluster across phase 0: the arc
     # starts at -eps, its lowest member on the circle, not at +eps, the
-    # lowest member in [0, 2 pi)
+    # lowest member in [0, 2 pi).  At an exact pi/k arc the final W holds a
+    # pair pi apart to rounding and, through the other member of the
+    # cluster, a pair off antipodal by a few eps: the input must take the
+    # first one
     eye = identity_operator((d,))
-    for k, arc in enumerate((0.4 * np.pi / 3, 0.7, 2.0)):
+    arcs = ((0.4 * np.pi / 3, 8), (0.7, 5), (2.0, 2),
+            (np.pi / 4, 4), (np.pi / 7, 7), (np.pi / 15, 15))
+    for k, (arc, uses) in enumerate(arcs):
         q = random_unitary(d, 12 + k).matrix
         phases = np.concatenate([[-eps, eps], np.linspace(arc, 0.0, d - 2, endpoint=False)])
         v = UnitaryOperator((q * np.exp(1j * phases)) @ q.conj().T, (d,))
         scheme = find_sequential_scheme(eye, v)
-        assert scheme.uses == int(np.ceil(np.pi / arc))
-        assert evaluate_scheme(scheme, eye, v) <= 1e-12
+        assert scheme.uses == uses
+        assert evaluate_scheme(scheme, eye, v) <= 1e-13

@@ -257,6 +257,9 @@ def test_verify_rejects_box_of_the_wrong_dimension(eye4):
         verify(proto, eye4, wide)
     with pytest.raises(DimensionMismatch):
         simulate(proto, wide)
+    # a bare matrix carries no split; its shape is checked against the input
+    with pytest.raises(DimensionMismatch, match=re.escape("box shape (5, 5) vs input dimension 4")):
+        simulate(proto, np.eye(5))
 
 
 @pytest.mark.parametrize("dims", [(1, 4), (4, 1)])
